@@ -139,15 +139,19 @@
 // (compressed sparse row) view, so the BFS/Dijkstra inner loops walk flat
 // arrays instead of per-node slices. graph.DijkstraScratch makes repeated
 // shortest-path trees allocation-free: dist/via validity is tracked with
-// epoch stamps (no O(n) clearing), the heap keeps its backing array, and
-// runs stop early once every requested target is settled. mcf.Solve
-// builds on this with per-source trees that persist until a requested
-// path's total length has grown by ≥ (1+ε) since the tree was built (the
-// slack the Garg–Könemann analysis tolerates), an incrementally maintained
-// termination potential, and a primal-dual certificate — the phase's tree
-// distances yield a valid dual bound λ* ≤ Σ lens·caps / Σ demand·dist —
-// that stops the solve as soon as the gap closes instead of waiting for
-// the worst-case potential rule. maxflow.BisectionBandwidth refines cuts
+// epoch stamps (no O(n) clearing), and runs stop early once every
+// requested target is settled. A scratch owns only O(n) tree state — dist,
+// via, and the length each via arc had when it was set (ViaLen); the
+// traversal working set (heap, bucket window, repair buffers) is emptied
+// by every run and pooled per goroutine. mcf.Solve builds on this with
+// per-source trees that persist until a requested path's total length has
+// grown by ≥ (1+ε) since the tree was built (the slack the Garg–Könemann
+// analysis tolerates; the at-build length is the ViaLen sum along the
+// path, so trees need no copy of the length function), an incrementally
+// maintained termination potential, and a primal-dual certificate — the
+// phase's tree distances yield a valid dual bound λ* ≤ Σ lens·caps /
+// Σ demand·dist — that stops the solve as soon as the gap closes instead
+// of waiting for the worst-case potential rule. maxflow.BisectionBandwidth refines cuts
 // with incremental Kernighan–Lin swap gains (O(1) per candidate pair)
 // rather than recomputing the full cut capacity per pair.
 //

@@ -66,28 +66,34 @@ func LengthRange(length []float64) (minPos, max float64) {
 // BucketBailed reports the fallback so adaptive callers can stop paying
 // for doomed attempts.
 //
-// Results are read with Dist/Via/Reached exactly as after Run, the
+// Results are read with Dist/Via/ViaLen/Reached exactly as after Run, the
 // early-exit contract is identical, and a completed run is a valid basis
 // for Repair/RepairStale. When shortest paths are unique the tree is
 // bit-identical to the heap path's.
 func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32, delta float64) {
-	if !(delta > 0) {
-		d.bqBailed = true
-		d.Run(src, length, targets)
-		return
+	w := getWorkspace()
+	if d.runBucketed(w, src, length, targets, delta) {
+		// Partial results from the abandoned attempt carry the current
+		// epoch; run advances the epoch, so they are invisible to it and
+		// the rerun is a clean from-scratch computation with identical
+		// semantics.
+		d.run(w, src, length, targets)
 	}
-	d.bqBailed = false
+	putWorkspace(w)
+}
+
+// runBucketed is RunBucketed's traversal; it reports whether the run
+// bailed and must be redone by the heap.
+func (d *DijkstraScratch) runBucketed(w *workspace, src int, length []float64, targets []int32, delta float64) (bailed bool) {
+	d.bqRebases = 0
+	d.bqBailed = !(delta > 0)
+	if d.bqBailed {
+		return true
+	}
 	// Any relaxation reaching this distance would produce a bucket index
 	// near int64 overflow; treat it as a bail condition below.
 	limit := delta * float64(bqMaxIdx)
-	d.epoch++
-	if d.epoch == 0 { // wrapped: every stale stamp is suddenly "current"
-		for i := range d.stamp {
-			d.stamp[i], d.tmark[i] = 0, 0
-		}
-		d.epoch = 1
-	}
-	e := d.epoch
+	e := d.nextEpoch()
 	c := d.g.csrView()
 	// Early-exit bookkeeping differs from the heap path: within a bucket,
 	// entries pop in arbitrary order and — when an arc shorter than delta
@@ -96,7 +102,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	// its bucket: every later entry has distance ≥ cur·delta, which
 	// exceeds anything in earlier buckets, so no future relaxation can
 	// improve it. That keeps early exit exact for any positive delta.
-	pending := d.bqPending[:0]
+	pending := w.bqPending[:0]
 	for _, t := range targets {
 		if d.tmark[t] != e {
 			d.tmark[t] = e
@@ -104,13 +110,13 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 		}
 	}
 	earlyExit := len(pending) > 0
-	if d.bqSlots == nil {
-		d.bqSlots = make([][]item, bqWindow)
+	if w.bqSlots == nil {
+		w.bqSlots = make([][]item, bqWindow)
 	}
-	slots, over := d.bqSlots, d.bqOver[:0]
-	d.bqRebases = 0
+	slots, over := w.bqSlots, w.bqOver[:0]
 	d.dist[src] = 0
 	d.via[src] = -1
+	d.vlen[src] = 0
 	d.stamp[src] = e
 	// cur is the bucket index being drained; the resident window covers the
 	// fixed range [winEnd-bqWindow, winEnd). Entries in bucket ≥ winEnd wait
@@ -124,7 +130,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 	winEnd := int64(bqWindow)
 	slots[0] = append(slots[0][:0], item{node: int32(src), d: 0})
 	windowLive := 1
-	broke, bailed := false, false
+	broke := false
 	// settle drops every pending target whose distance now lies in a
 	// bucket strictly before cur; returns true when none remain.
 	settle := func() bool {
@@ -208,6 +214,7 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 			if d.stamp[v] != e || nd < d.dist[v] {
 				d.dist[v] = nd
 				d.via[v] = a
+				d.vlen[v] = l
 				d.stamp[v] = e
 				if idx := int64(nd / delta); idx < winEnd {
 					slots[idx&(bqWindow-1)] = append(slots[idx&(bqWindow-1)], item{node: v, d: nd})
@@ -222,23 +229,17 @@ func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32
 		}
 	}
 	if broke || bailed {
-		// The break abandons queued entries; empty every slot so the next
-		// run starts from a clean window.
+		// The break abandons queued entries; empty every slot so the
+		// workspace goes back to the pool with a clean window.
 		for i := range slots {
 			slots[i] = slots[i][:0]
 		}
 	}
-	d.bqOver = over[:0]
-	d.bqPending = pending[:0]
-	if bailed {
-		// Partial results from this attempt carry the current epoch; Run
-		// advances the epoch, so they are invisible to it and the rerun is
-		// a clean from-scratch computation with identical semantics.
-		d.bqBailed = true
-		d.Run(src, length, targets)
-		return
-	}
+	w.bqOver = over[:0]
+	w.bqPending = pending[:0]
+	d.bqBailed = bailed
 	d.complete = !broke
+	return bailed
 }
 
 // BucketRebases reports how many overflow redistributions the last

@@ -35,6 +35,9 @@ func compareTrees(t *testing.T, ctx string, g *Graph, heap, bucket *DijkstraScra
 		if heap.Via(v) != bucket.Via(v) {
 			t.Fatalf("%s: via[%d]: heap %d, bucket %d", ctx, v, heap.Via(v), bucket.Via(v))
 		}
+		if heap.ViaLen(v) != bucket.ViaLen(v) {
+			t.Fatalf("%s: vialen[%d]: heap %v, bucket %v", ctx, v, heap.ViaLen(v), bucket.ViaLen(v))
+		}
 	}
 }
 

@@ -1,12 +1,22 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// DijkstraScratch holds reusable state for repeated shortest-path-tree
-// computations over one graph. The flow solver runs thousands of Dijkstras
-// per solve under an evolving length function; the scratch makes each run
-// allocation-free: dist/via validity is tracked with an epoch stamp (no
-// O(n) clearing between runs) and the heap keeps its backing array.
+// DijkstraScratch holds one shortest-path tree over one graph and the
+// per-node state to recompute it. The flow solver keeps one of these trees
+// alive per traffic source, so a scratch owns only O(n) state — dist, via,
+// the length of each via arc when it was set (vlen), the epoch stamp and
+// the pending-target marker, 28 bytes per node. dist/via validity is
+// tracked with the epoch stamp (no O(n) clearing between runs).
+//
+// Everything a traversal empties before it returns — the heap, the bucket
+// window and its overflow list, the pending targets and the repair
+// buffers — lives in a workspace taken from a process-wide sync.Pool for
+// the duration of one call, so memory for the working set scales with the
+// number of goroutines traversing, not with the number of trees.
 //
 // A scratch is bound to the graph that created it and must not be used
 // after links are added. It is not safe for concurrent use; create one
@@ -15,22 +25,28 @@ type DijkstraScratch struct {
 	g     *Graph
 	dist  []float64
 	via   []int32
-	stamp []uint32 // dist/via valid iff stamp == epoch
-	tmark []uint32 // pending-target marker, same epoch discipline
+	vlen  []float64 // length of via[v] when the traversal set it
+	stamp []uint32  // dist/via/vlen valid iff stamp == epoch
+	tmark []uint32  // pending-target marker, same epoch discipline
 	epoch uint32
-	heap  []item
 
 	// complete records whether the last Run settled every reachable node
 	// (no early exit), which is the precondition for Repair.
 	complete bool
-	// Bucket-queue state for RunBucketed (see bucket.go), allocated on
-	// first use and reused after.
-	bqSlots   [][]item
-	bqOver    []item
-	bqPending []int32
+	// Outcome of the last RunBucketed (see bucket.go).
 	bqRebases int
 	bqBailed  bool
-	// Repair working buffers, allocated on first use and reused after.
+}
+
+// workspace is the traversal working set. Every run leaves it empty —
+// bucket slots drained, affected and chg all false — so a workspace can
+// serve any scratch of any graph next; buffers indexed by node or arc grow
+// to the largest graph seen.
+type workspace struct {
+	heap      []item
+	bqSlots   [][]item // bqWindow slots, allocated on first bucket run
+	bqOver    []item
+	bqPending []int32
 	affected  []bool
 	childHead []int32
 	childNext []int32
@@ -39,24 +55,35 @@ type DijkstraScratch struct {
 	chg       []bool  // per-arc changed marks for the list-flavored Repair
 }
 
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+func getWorkspace() *workspace { return workspacePool.Get().(*workspace) }
+
+func putWorkspace(w *workspace) { workspacePool.Put(w) }
+
+// repairBufs sizes the per-node repair buffers for an n-node graph.
+func (w *workspace) repairBufs(n int) {
+	if len(w.affected) < n {
+		w.affected = make([]bool, n)
+		w.childHead = make([]int32, n)
+		w.childNext = make([]int32, n)
+	}
+}
+
 // NewDijkstraScratch returns a scratch sized for g.
 func (g *Graph) NewDijkstraScratch() *DijkstraScratch {
 	return &DijkstraScratch{
 		g:     g,
 		dist:  make([]float64, g.n),
 		via:   make([]int32, g.n),
+		vlen:  make([]float64, g.n),
 		stamp: make([]uint32, g.n),
 		tmark: make([]uint32, g.n),
 	}
 }
 
-// Run computes the shortest-path tree from src under the per-arc lengths.
-// If targets is non-empty, the run stops as soon as every target is
-// settled: dist/via are then final for the targets and every node on a
-// shortest path to them, but not necessarily for other nodes. Lengths must
-// be non-negative. Results are read with Dist/Via/Reached and stay valid
-// until the next Run.
-func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
+// nextEpoch starts a new traversal: every node's dist/via goes stale.
+func (d *DijkstraScratch) nextEpoch() uint32 {
 	d.epoch++
 	if d.epoch == 0 { // wrapped: every stale stamp is suddenly "current"
 		for i := range d.stamp {
@@ -64,7 +91,23 @@ func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
 		}
 		d.epoch = 1
 	}
-	e := d.epoch
+	return d.epoch
+}
+
+// Run computes the shortest-path tree from src under the per-arc lengths.
+// If targets is non-empty, the run stops as soon as every target is
+// settled: dist/via are then final for the targets and every node on a
+// shortest path to them, but not necessarily for other nodes. Lengths must
+// be non-negative. Results are read with Dist/Via/ViaLen/Reached and stay
+// valid until the next Run.
+func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
+	w := getWorkspace()
+	d.run(w, src, length, targets)
+	putWorkspace(w)
+}
+
+func (d *DijkstraScratch) run(w *workspace, src int, length []float64, targets []int32) {
+	e := d.nextEpoch()
 	c := d.g.csrView()
 	pending := 0
 	for _, t := range targets {
@@ -76,8 +119,9 @@ func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
 	earlyExit := pending > 0
 	d.dist[src] = 0
 	d.via[src] = -1
+	d.vlen[src] = 0
 	d.stamp[src] = e
-	h := heapF{a: d.heap[:0]}
+	h := heapF{a: w.heap[:0]}
 	h.push(item{node: int32(src), d: 0})
 	broke := false
 	for h.len() > 0 {
@@ -96,10 +140,12 @@ func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
 		for k, end := c.start[it.node], c.start[it.node+1]; k < end; k++ {
 			v := c.to[k]
 			a := c.arc[k]
-			nd := it.d + length[a]
+			l := length[a]
+			nd := it.d + l
 			if d.stamp[v] != e || nd < d.dist[v] {
 				d.dist[v] = nd
 				d.via[v] = a
+				d.vlen[v] = l
 				d.stamp[v] = e
 				h.push(item{node: v, d: nd})
 			}
@@ -108,7 +154,7 @@ func (d *DijkstraScratch) Run(src int, length []float64, targets []int32) {
 	// The break fires before the last target's out-arcs are relaxed, so an
 	// empty heap after it does not imply a complete tree.
 	d.complete = !broke
-	d.heap = h.a
+	w.heap = h.a
 }
 
 // Repair updates the last Run's shortest-path tree after a batch of arc
@@ -122,16 +168,19 @@ func (d *DijkstraScratch) Repair(length []float64, changed []int32) bool {
 	if len(changed) == 0 {
 		return d.complete
 	}
-	if d.chg == nil {
-		d.chg = make([]bool, len(d.g.arcs))
+	w := getWorkspace()
+	if len(w.chg) < len(d.g.arcs) {
+		w.chg = make([]bool, len(d.g.arcs))
 	}
+	chg := w.chg
 	for _, a := range changed {
-		d.chg[a] = true
+		chg[a] = true
 	}
-	ok := d.RepairStale(length, func(a int32) bool { return d.chg[a] }, 0)
+	ok := d.repairStale(w, length, func(a int32) bool { return chg[a] }, 0)
 	for _, a := range changed {
-		d.chg[a] = false
+		chg[a] = false
 	}
+	putWorkspace(w)
 	return ok
 }
 
@@ -161,73 +210,78 @@ func (d *DijkstraScratch) Repair(length []float64, changed []int32) bool {
 // only a full Run can refresh it). After a successful repair the tree is
 // again complete and current for the given lengths.
 func (d *DijkstraScratch) RepairStale(length []float64, grew func(a int32) bool, maxAffected int) bool {
+	w := getWorkspace()
+	ok := d.repairStale(w, length, grew, maxAffected)
+	putWorkspace(w)
+	return ok
+}
+
+func (d *DijkstraScratch) repairStale(w *workspace, length []float64, grew func(a int32) bool, maxAffected int) bool {
 	if !d.complete {
 		return false
 	}
 	e := d.epoch
+	n := d.g.n
 	arcs := d.g.arcs
-	if d.affected == nil {
-		d.affected = make([]bool, d.g.n)
-		d.childHead = make([]int32, d.g.n)
-		d.childNext = make([]int32, d.g.n)
-	}
+	w.repairBufs(n)
+	affected, childHead, childNext := w.affected[:n], w.childHead[:n], w.childNext[:n]
 	// Collect the roots of stale subtrees: heads of grown tree arcs. One
 	// O(n) pass over the tree; most solver repairs find only a few.
-	dfs := d.dfs[:0]
-	for v := 0; v < d.g.n; v++ {
+	dfs := w.dfs[:0]
+	for v := 0; v < n; v++ {
 		if d.stamp[v] == e && d.via[v] >= 0 && grew(d.via[v]) {
 			dfs = append(dfs, int32(v))
 		}
 	}
 	if len(dfs) == 0 {
-		d.dfs = dfs
+		w.dfs = dfs
 		return true
 	}
 	// Bucket tree children (first-child/next-sibling) so subtree marking is
 	// a straight DFS. O(n), paid only on repairs that found a stale subtree.
-	for v := range d.childHead {
-		d.childHead[v] = -1
+	for v := range childHead {
+		childHead[v] = -1
 	}
-	for v := 0; v < d.g.n; v++ {
+	for v := 0; v < n; v++ {
 		if d.stamp[v] != e || d.via[v] < 0 {
 			continue
 		}
 		p := arcs[d.via[v]].From
-		d.childNext[v] = d.childHead[p]
-		d.childHead[p] = int32(v)
+		childNext[v] = childHead[p]
+		childHead[p] = int32(v)
 	}
 	// Mark every node whose tree path crosses a grown tree arc, bailing out
 	// once the region exceeds the caller's repair budget.
-	touched := d.stack[:0]
+	touched := w.stack[:0]
 	bailed := false
 	for len(dfs) > 0 {
 		u := dfs[len(dfs)-1]
 		dfs = dfs[:len(dfs)-1]
-		if d.affected[u] {
+		if affected[u] {
 			continue
 		}
 		if maxAffected > 0 && len(touched) >= maxAffected {
 			bailed = true
 			break
 		}
-		d.affected[u] = true
+		affected[u] = true
 		touched = append(touched, u)
-		for c := d.childHead[u]; c >= 0; c = d.childNext[c] {
+		for c := childHead[u]; c >= 0; c = childNext[c] {
 			dfs = append(dfs, c)
 		}
 	}
-	d.dfs = dfs[:0]
+	w.dfs = dfs[:0]
 	if bailed {
 		for _, v := range touched {
-			d.affected[v] = false
+			affected[v] = false
 		}
-		d.stack = touched[:0]
+		w.stack = touched[:0]
 		return false
 	}
 	// Restricted Dijkstra over the affected set, seeded from the unaffected
 	// boundary: each affected node's best entry via a settled neighbor.
 	c := d.g.csrView()
-	h := heapF{a: d.heap[:0]}
+	h := heapF{a: w.heap[:0]}
 	for _, v := range touched {
 		d.dist[v] = math.Inf(1)
 	}
@@ -236,7 +290,7 @@ func (d *DijkstraScratch) RepairStale(length []float64, grew func(a int32) bool,
 		bestArc := int32(-1)
 		for k, end := c.start[v], c.start[v+1]; k < end; k++ {
 			u := c.to[k]
-			if d.affected[u] || d.stamp[u] != e {
+			if affected[u] || d.stamp[u] != e {
 				continue
 			}
 			in := c.arc[k] ^ 1 // the reverse arc u -> v
@@ -247,25 +301,28 @@ func (d *DijkstraScratch) RepairStale(length []float64, grew func(a int32) bool,
 		if bestArc >= 0 {
 			d.dist[v] = best
 			d.via[v] = bestArc
+			d.vlen[v] = length[bestArc]
 			h.push(item{node: v, d: best})
 		}
 	}
 	for h.len() > 0 {
 		it := h.pop()
-		if it.d > d.dist[it.node] || !d.affected[it.node] {
+		if it.d > d.dist[it.node] || !affected[it.node] {
 			continue
 		}
-		d.affected[it.node] = false // settled
+		affected[it.node] = false // settled
 		for k, end := c.start[it.node], c.start[it.node+1]; k < end; k++ {
 			v := c.to[k]
-			if !d.affected[v] {
+			if !affected[v] {
 				continue
 			}
 			a := c.arc[k]
-			nd := it.d + length[a]
+			l := length[a]
+			nd := it.d + l
 			if nd < d.dist[v] {
 				d.dist[v] = nd
 				d.via[v] = a
+				d.vlen[v] = l
 				h.push(item{node: v, d: nd})
 			}
 		}
@@ -273,14 +330,14 @@ func (d *DijkstraScratch) RepairStale(length []float64, grew func(a int32) bool,
 	// Anything still marked was cut off entirely by the length growth (only
 	// possible with +Inf lengths); drop it from the tree.
 	for _, v := range touched {
-		if d.affected[v] {
-			d.affected[v] = false
+		if affected[v] {
+			affected[v] = false
 			d.stamp[v] = e - 1
 			d.via[v] = -1
 		}
 	}
-	d.stack = touched[:0]
-	d.heap = h.a
+	w.stack = touched[:0]
+	w.heap = h.a
 	return true
 }
 
@@ -300,6 +357,19 @@ func (d *DijkstraScratch) Via(v int) int32 {
 		return -1
 	}
 	return d.via[v]
+}
+
+// ViaLen returns the length Via(v) had when the traversal that chose it
+// ran, or 0 for the source and unreached nodes. Lengths only grow in the
+// solver, so summing ViaLen along a tree path gives the path's length when
+// the tree was built — what staleness checks compare against — without a
+// per-tree snapshot of every arc length. A node a repair leaves untouched
+// keeps its ViaLen, which is still current because its via arc did not grow.
+func (d *DijkstraScratch) ViaLen(v int) float64 {
+	if d.stamp[v] != d.epoch {
+		return 0
+	}
+	return d.vlen[v]
 }
 
 // Reached reports whether v was reached by the last Run.

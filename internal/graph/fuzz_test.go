@@ -65,7 +65,7 @@ func FuzzGraphRoundTrip(f *testing.F) {
 
 // FuzzBucketMatchesHeap: on a derived random graph with random lengths,
 // the bucket-queue traversal must be bit-identical to the heap Dijkstra —
-// full runs and early-exit target runs alike. The fuzzer drives the graph
+// dist, via and ViaLen, full runs and early-exit target runs alike. The fuzzer drives the graph
 // shape, the length distribution, the bucket width (any fraction of the
 // minimum length, the documented validity range), and the target set.
 func FuzzBucketMatchesHeap(f *testing.F) {
@@ -114,6 +114,9 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 			if dh.Via(v) != db.Via(v) {
 				t.Fatalf("via[%d]: heap %d, bucket %d", v, dh.Via(v), db.Via(v))
 			}
+			if dh.ViaLen(v) != db.ViaLen(v) {
+				t.Fatalf("vialen[%d]: heap %v, bucket %v", v, dh.ViaLen(v), db.ViaLen(v))
+			}
 		}
 		// Early-exit run: targets and their root paths must be final.
 		var targets []int32
@@ -136,6 +139,9 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 				if a != dh.Via(at) {
 					t.Fatalf("target %d path node %d: bucket via %d, full heap via %d", v, at, a, dh.Via(at))
 				}
+				if db.ViaLen(at) != dh.ViaLen(at) {
+					t.Fatalf("target %d path node %d: bucket vialen %v, full heap vialen %v", v, at, db.ViaLen(at), dh.ViaLen(at))
+				}
 				at = int(g.Arc(int(a)).From)
 			}
 		}
@@ -144,7 +150,8 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 
 // FuzzRepairMatchesRebuild: arbitrary increase-only length evolutions on a
 // derived random graph must keep Repair bit-identical to a from-scratch
-// Dijkstra. The fuzzer drives which arcs grow, by how much, and how the
+// Dijkstra, ViaLen included: a node the repair did not touch must still
+// report its via arc's current length. The fuzzer drives which arcs grow, by how much, and how the
 // growth is batched; seeds mirror the oracle-test corpus.
 func FuzzRepairMatchesRebuild(f *testing.F) {
 	f.Add(int64(42), []byte{1, 2, 3, 200, 17, 5})
@@ -175,7 +182,7 @@ func FuzzRepairMatchesRebuild(f *testing.F) {
 			lens[a] = 0.1 + rng.Float64()
 		}
 		src := rng.Intn(n)
-		d := g.NewDijkstraScratch()
+		d, ref := g.NewDijkstraScratch(), g.NewDijkstraScratch()
 		d.Run(src, lens, nil)
 		// Each op byte grows one arc; every 4th op closes a batch and
 		// checks the repaired tree against a rebuild.
@@ -187,13 +194,16 @@ func FuzzRepairMatchesRebuild(f *testing.F) {
 			if !d.Repair(lens, changed) {
 				t.Fatal("repair refused a complete tree")
 			}
-			dist, via := g.Dijkstra(src, lens)
+			ref.Run(src, lens, nil)
 			for v := 0; v < n; v++ {
-				if d.Dist(v) != dist[v] {
-					t.Fatalf("dist[%d]: repair %v, rebuild %v", v, d.Dist(v), dist[v])
+				if d.Dist(v) != ref.Dist(v) {
+					t.Fatalf("dist[%d]: repair %v, rebuild %v", v, d.Dist(v), ref.Dist(v))
 				}
-				if d.Via(v) != via[v] {
-					t.Fatalf("via[%d]: repair %d, rebuild %d", v, d.Via(v), via[v])
+				if d.Via(v) != ref.Via(v) {
+					t.Fatalf("via[%d]: repair %d, rebuild %d", v, d.Via(v), ref.Via(v))
+				}
+				if d.ViaLen(v) != ref.ViaLen(v) {
+					t.Fatalf("vialen[%d]: repair %v, rebuild %v", v, d.ViaLen(v), ref.ViaLen(v))
 				}
 			}
 			changed = changed[:0]

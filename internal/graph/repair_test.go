@@ -21,16 +21,21 @@ func growArcs(rng *rand.Rand, lens []float64, count int) []int32 {
 
 // checkTreesEqual asserts the repaired scratch agrees bit-for-bit with a
 // from-scratch Dijkstra (random float lengths make the tree unique, so via
-// must match exactly, not just dist).
+// must match exactly, not just dist) — ViaLen included, so a node the
+// repair left alone still reports its via arc's current length.
 func checkTreesEqual(t *testing.T, g *Graph, d *DijkstraScratch, lens []float64, src int, ctx string) {
 	t.Helper()
-	dist, via := g.Dijkstra(src, lens)
+	ref := g.NewDijkstraScratch()
+	ref.Run(src, lens, nil)
 	for v := 0; v < g.N(); v++ {
-		if d.Dist(v) != dist[v] {
-			t.Fatalf("%s: dist[%d] = %v, want %v", ctx, v, d.Dist(v), dist[v])
+		if d.Dist(v) != ref.Dist(v) {
+			t.Fatalf("%s: dist[%d] = %v, want %v", ctx, v, d.Dist(v), ref.Dist(v))
 		}
-		if d.Via(v) != via[v] {
-			t.Fatalf("%s: via[%d] = %v, want %v", ctx, v, d.Via(v), via[v])
+		if d.Via(v) != ref.Via(v) {
+			t.Fatalf("%s: via[%d] = %v, want %v", ctx, v, d.Via(v), ref.Via(v))
+		}
+		if d.ViaLen(v) != ref.ViaLen(v) {
+			t.Fatalf("%s: vialen[%d] = %v, want %v", ctx, v, d.ViaLen(v), ref.ViaLen(v))
 		}
 	}
 }

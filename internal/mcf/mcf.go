@@ -329,6 +329,7 @@ type state struct {
 	perSrc    map[int]*srcTree
 	shared    *srcTree
 	pathBuf   []int32
+	viaLenBuf []float64 // ViaLen of each pathBuf arc (see walkPath)
 	targetBuf []int32
 
 	// grownAt[a] is the value of growSeq when arc a's length last grew;
@@ -391,12 +392,13 @@ type state struct {
 	warm bool
 }
 
-// srcTree is a shortest-path tree rooted at one source, with the length
-// snapshot needed to detect per-path staleness.
+// srcTree is a shortest-path tree rooted at one source. Its scratch keeps,
+// beside each node's via arc, that arc's length when the tree last set it
+// (DijkstraScratch.ViaLen). Summed along a tree path, ViaLen gives the
+// path's at-build length, against which per-path staleness is measured.
 type srcTree struct {
-	scratch    *graph.DijkstraScratch
-	lenAtBuild []float64
-	built      bool
+	scratch *graph.DijkstraScratch
+	built   bool
 	// seq is the state.growSeq value the tree is current for: arcs with
 	// grownAt > seq are length growths the tree has not absorbed yet.
 	seq int64
@@ -458,12 +460,13 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		s.srcs = append(s.srcs, src)
 	}
 	sort.Ints(s.srcs)
-	// Footprint per persistent tree: lenAtBuild (8m) plus the scratch's
-	// dist/via/stamp/tmark arrays (20n).
-	if len(s.srcs)*(8*m+20*g.N()) <= persistentTreeBudget {
+	// Footprint per persistent tree: the scratch's dist/vlen (8n each) and
+	// via/stamp/tmark (4n each) arrays. The traversal working set (heap,
+	// bucket window, repair buffers) is pooled per goroutine, not per tree.
+	if len(s.srcs)*28*g.N() <= persistentTreeBudget {
 		s.perSrc = make(map[int]*srcTree, len(s.srcs))
 	} else {
-		s.shared = &srcTree{scratch: g.NewDijkstraScratch(), lenAtBuild: make([]float64, m)}
+		s.shared = &srcTree{scratch: g.NewDijkstraScratch()}
 		// The shared slot is reused by every source, so a tree never
 		// survives long enough for incremental repair to pay off.
 		s.noRepair = true
@@ -531,7 +534,7 @@ func (s *state) treeFor(src int) *srcTree {
 	}
 	t := s.perSrc[src]
 	if t == nil {
-		t = &srcTree{scratch: s.g.NewDijkstraScratch(), lenAtBuild: make([]float64, s.m)}
+		t = &srcTree{scratch: s.g.NewDijkstraScratch()}
 		s.perSrc[src] = t
 	}
 	return t
@@ -629,8 +632,8 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 	}
 }
 
-// buildTree computes a fresh shortest-path tree for the source batch and
-// snapshots the length function so later routing can detect staleness.
+// buildTree computes a fresh shortest-path tree for the source batch; the
+// scratch's ViaLen records the lengths later routing detects staleness by.
 // Hot sources (see srcTree.hot) are built in full — incremental repair
 // needs every reachable node settled — while cold sources keep the early
 // exit once every destination of the batch is settled, exactly as before
@@ -638,7 +641,6 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 func (s *state) buildTree(t *srcTree, src int, targets []int32) {
 	t.full = !s.noRepair && t.hot
 	bucket, bailed, rebases := s.runTree(t, src, targets)
-	copy(t.lenAtBuild, s.lens)
 	t.seq = s.growSeq
 	t.built = true
 	s.builds++
@@ -692,7 +694,6 @@ func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
 		func(a int32) bool { return s.grownAt[a] > seq },
 		s.g.N()/repairBudget)
 	if ok {
-		copy(t.lenAtBuild, s.lens)
 		t.seq = s.growSeq
 		s.repairs++
 	}
@@ -726,7 +727,7 @@ func (s *state) phaseStale(t *srcTree, src int) bool {
 				return true // the tree does not reach this destination
 			}
 			nowLen += s.lens[a]
-			buildLen += t.lenAtBuild[a]
+			buildLen += t.scratch.ViaLen(at)
 			at = int(s.g.Arc(int(a)).From)
 		}
 		if nowLen > onePlusEps*buildLen {
@@ -760,14 +761,12 @@ func (s *state) prebuildOne(t *srcTree, src int) prebuildStats {
 			func(a int32) bool { return s.grownAt[a] > seq },
 			s.g.N()/repairBudget) {
 			st.repaired = true
-			copy(t.lenAtBuild, s.lens)
 			t.seq = s.growSeq
 			return st
 		}
 	}
 	t.full = !s.noRepair && t.hot
 	st.bucket, st.bailed, st.rebases = s.runTree(t, src, t.targets)
-	copy(t.lenAtBuild, s.lens)
 	t.seq = s.growSeq
 	t.built = true
 	return st
@@ -875,9 +874,9 @@ func (s *state) runPhase() {
 				path := s.walkPath(t, dst)
 				if path != nil {
 					var nowLen, buildLen float64
-					for _, a := range path {
+					for i, a := range path {
 						nowLen += s.lens[a]
-						buildLen += t.lenAtBuild[a]
+						buildLen += s.viaLenBuf[i]
 					}
 					if nowLen > onePlusEps*buildLen {
 						path = nil // stale: force a rebuild
@@ -969,10 +968,11 @@ func int32SlicesEqual(a, b []int32) bool {
 }
 
 // walkPath returns the arc sequence from t's root to dst, or nil if dst
-// was unreachable. The returned slice is a reusable buffer, valid until
-// the next walkPath call.
+// was unreachable, and leaves each arc's at-build length (ViaLen) at the
+// same index of s.viaLenBuf. Both are reusable buffers, valid until the
+// next walkPath call.
 func (s *state) walkPath(t *srcTree, dst int) []int32 {
-	rev := s.pathBuf[:0]
+	rev, lens := s.pathBuf[:0], s.viaLenBuf[:0]
 	at := dst
 	for {
 		a := t.scratch.Via(at)
@@ -980,14 +980,16 @@ func (s *state) walkPath(t *srcTree, dst int) []int32 {
 			break
 		}
 		rev = append(rev, a)
+		lens = append(lens, t.scratch.ViaLen(at))
 		at = int(s.g.Arc(int(a)).From)
 	}
-	s.pathBuf = rev
+	s.pathBuf, s.viaLenBuf = rev, lens
 	if len(rev) == 0 {
 		return nil
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
+		lens[i], lens[j] = lens[j], lens[i]
 	}
 	return rev
 }

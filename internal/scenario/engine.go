@@ -110,8 +110,9 @@ type Engine struct {
 	parentHits    atomic.Int64
 	parentMisses  atomic.Int64
 
-	warmMu       sync.Mutex
-	warmInflight map[string]*sync.WaitGroup
+	// flights holds the keys being solved under WarmStart (joinOrLead).
+	flightMu sync.Mutex
+	flights  map[string]*sync.WaitGroup
 }
 
 // WarmStats snapshots the engine's incremental-evaluation counters:
@@ -232,7 +233,8 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 	if p.Topo.Spec() != "" {
 		key = p.Key()
 	}
-	if sp := trace.StartSpan(ctx, "point"); sp.OK() {
+	sp := trace.StartSpan(ctx, "point")
+	if sp.OK() {
 		sp.Attr("key", key)
 		ctx = trace.ContextWithSpan(ctx, sp)
 		defer sp.End()
@@ -240,6 +242,22 @@ func (e *Engine) runPoint(ctx context.Context, p Point) ([]float64, error) {
 	if e.Cache != nil && key != "" {
 		if vals, ok := e.Cache.GetCtx(ctx, key); ok {
 			return vals, nil
+		}
+		// Warm ladders reach one key two ways — as a grid point and as the
+		// parent its siblings materialize — so under WarmStart one solve
+		// per key is in flight at a time and the others wait for it.
+		for e.WarmStart {
+			release, led := e.joinOrLead(key)
+			if led {
+				defer release()
+				break
+			}
+			sp.Attr("flight", "joined")
+			// The solve waited for may have failed or been canceled and
+			// left nothing behind; then contend to solve it here.
+			if vals, ok := e.Cache.GetCtx(ctx, key); ok {
+				return vals, nil
+			}
 		}
 	}
 	pw := e.prepareWarm(ctx, p, key)
@@ -332,7 +350,7 @@ func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWar
 		// cold — a documented degradation, never an error.
 		sp.Attr("witnesses", "miss")
 		e.parentMisses.Add(1)
-		e.materializeParent(ctx, pp, parentKey)
+		e.materializeParent(ctx, pp)
 		lens, _ = load()
 	}
 	any := false
@@ -364,35 +382,40 @@ func (e *Engine) prepareWarm(ctx context.Context, p Point, key string) *pointWar
 }
 
 // materializeParent solves the parent point so its witnesses land in the
-// cache, deduplicating concurrent requests per parent key. The solve's
-// error (if any) is deliberately dropped: the children fall back to cold
-// solves and the error resurfaces if the parent point is ever evaluated
-// in its own right.
-func (e *Engine) materializeParent(ctx context.Context, pp Point, parentKey string) {
+// cache; runPoint joins the solve already in flight for the parent's key,
+// whether another child or the grid itself started it. The solve's error
+// (if any) is deliberately dropped: the children fall back to cold solves
+// and the error resurfaces if the parent point is ever evaluated in its
+// own right.
+func (e *Engine) materializeParent(ctx context.Context, pp Point) {
 	msp := trace.StartSpan(ctx, "warm.materialize")
 	defer msp.End()
-	e.warmMu.Lock()
-	if wg, ok := e.warmInflight[parentKey]; ok {
-		e.warmMu.Unlock()
-		msp.Attr("outcome", "joined")
+	_, _ = e.runPoint(ctx, pp)
+}
+
+// joinOrLead makes the caller the one goroutine solving key and returns
+// the release that ends its flight — or, when another goroutine already
+// is solving key, waits for that flight to end and reports led=false.
+func (e *Engine) joinOrLead(key string) (release func(), led bool) {
+	e.flightMu.Lock()
+	if wg, ok := e.flights[key]; ok {
+		e.flightMu.Unlock()
 		wg.Wait()
-		return
+		return nil, false
 	}
-	if e.warmInflight == nil {
-		e.warmInflight = map[string]*sync.WaitGroup{}
+	if e.flights == nil {
+		e.flights = map[string]*sync.WaitGroup{}
 	}
 	wg := &sync.WaitGroup{}
 	wg.Add(1)
-	e.warmInflight[parentKey] = wg
-	e.warmMu.Unlock()
-	msp.Attr("outcome", "solved")
-	defer func() {
-		e.warmMu.Lock()
-		delete(e.warmInflight, parentKey)
-		e.warmMu.Unlock()
+	e.flights[key] = wg
+	e.flightMu.Unlock()
+	return func() {
+		e.flightMu.Lock()
+		delete(e.flights, key)
+		e.flightMu.Unlock()
 		wg.Done()
-	}()
-	_, _ = e.runPoint(ctx, pp)
+	}, true
 }
 
 // MeasureDetailed evaluates every point keeping each run's full result

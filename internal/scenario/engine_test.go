@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -248,4 +249,41 @@ func (adHoc) Build(rng *rand.Rand) (*graph.Graph, error) {
 	cfg := hetero.Config{NumLarge: 4, NumSmall: 4, PortsLarge: 6, PortsSmall: 6, Servers: 8,
 		ServersPerLarge: -1, ServersPerSmall: -1, ServerRatio: 1}
 	return hetero.Build(rng, cfg)
+}
+
+// TestMCFWithoutCommoditiesRejected: an mcf point whose traffic matrix is
+// empty — hetero at its default servers=0, or traffic=none — fails with
+// ErrNoCommodities instead of reporting +Inf, and leaves nothing in the
+// cache or its backend, so the error repeats rather than being served.
+func TestMCFWithoutCommoditiesRejected(t *testing.T) {
+	for _, line := range []string{
+		"topo=hetero:ratio=1 traffic=permutation eval=mcf runs=2",
+		"topo=rrg:n=12,deg=4,sps=2 traffic=none eval=mcf runs=1",
+		"topo=hetero:ratio=1 traffic=permutation eval=failures:frac=0.1,eval=mcf runs=1",
+	} {
+		grid, err := ParseGrid(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gps, err := grid.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := &saveCounter{saves: map[string]int{}}
+		cache := NewCache()
+		cache.SetBackend(counter)
+		e := &Engine{Parallel: 1, Cache: cache, SkipInfeasible: true}
+		for rep := 0; rep < 2; rep++ {
+			_, err := e.MeasureRuns([]Point{gps[0].Point})
+			if !errors.Is(err, ErrNoCommodities) {
+				t.Fatalf("%s (rep %d): err = %v, want ErrNoCommodities", line, rep, err)
+			}
+		}
+		if _, ok := cache.Get(gps[0].Key()); ok {
+			t.Fatalf("%s: the failed point was cached", line)
+		}
+		if len(counter.saves) != 0 {
+			t.Fatalf("%s: saves reached the backend: %v", line, counter.saves)
+		}
+	}
 }

@@ -47,8 +47,16 @@ type DetailedEvaluator interface {
 
 // MCF measures λ, the maximum concurrent flow throughput of §3, with the
 // point's ε. Disconnected commodities report zero throughput rather than
-// failing, exactly as the sweeps always treated them.
+// failing, exactly as the sweeps always treated them. A point with no
+// commodities at all (no servers, or traffic=none) has no throughput to
+// measure and fails with ErrNoCommodities.
 type MCF struct{}
+
+// ErrNoCommodities is returned by the mcf evaluator for a run whose
+// traffic matrix is empty — for instance hetero with its default
+// servers=0. Such a point is a request error, not a measurement: λ would
+// be +Inf, which no result format can carry.
+var ErrNoCommodities = errors.New("mcf: the traffic matrix has no commodities (does the topology have servers?)")
 
 func (MCF) Spec() string { return "mcf" }
 
@@ -58,6 +66,9 @@ func (e MCF) Evaluate(ctx *EvalContext) (float64, error) {
 }
 
 func (MCF) EvaluateDetailed(ctx *EvalContext) (Detail, error) {
+	if ctx.TM == nil || len(ctx.TM.Flows) == 0 {
+		return Detail{}, ErrNoCommodities
+	}
 	opt := mcf.Options{Epsilon: ctx.Epsilon, Cancel: ctx.Cancel}
 	w := ctx.Warm
 	if w != nil && w.ParentLens != nil {

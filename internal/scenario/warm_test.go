@@ -270,3 +270,53 @@ func TestParentPoint(t *testing.T) {
 		t.Fatal("plain point must have no parent")
 	}
 }
+
+// saveCounter is a cache backend that holds nothing and counts the Saves
+// per key — one Save per completed solve of a point.
+type saveCounter struct {
+	mu    sync.Mutex
+	saves map[string]int
+}
+
+func (c *saveCounter) Load(string) ([]float64, bool) { return nil, false }
+
+func (c *saveCounter) Save(key string, _ []float64) error {
+	c.mu.Lock()
+	c.saves[key]++
+	c.mu.Unlock()
+	return nil
+}
+
+// TestWarmLadderSolvesIntactRungOnce: in a failure ladder the intact rung
+// is both a grid point and every other rung's parent. Solved at
+// Parallel 2, the rungs after it must join the grid's own solve of it
+// instead of materializing it a second time. (Needs GOMAXPROCS >= 2 to
+// run the rungs concurrently; serial runs pass trivially.)
+func TestWarmLadderSolvesIntactRungOnce(t *testing.T) {
+	topo, err := ParseTopology("rrg:n=30,deg=6,sps=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []Point
+	for _, frac := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25} {
+		pts = append(pts, Point{Topo: topo, Traffic: Permutation{}, Eval: Failures{Frac: frac, Inner: MCF{}},
+			Seed: 1, Runs: 1, Epsilon: 0.12})
+	}
+	for rep := 0; rep < 3; rep++ {
+		counter := &saveCounter{saves: map[string]int{}}
+		cache := NewCache()
+		cache.SetBackend(counter)
+		e := &Engine{Parallel: 2, Cache: cache, WarmStart: true}
+		if _, err := e.MeasureRuns(pts); err != nil {
+			t.Fatal(err)
+		}
+		if n := counter.saves[pts[0].Key()]; n != 1 {
+			t.Fatalf("rep %d: intact rung solved %d times, want 1 (warm stats %+v)", rep, n, e.WarmStats())
+		}
+		for _, p := range pts[1:] {
+			if n := counter.saves[p.Key()]; n != 1 {
+				t.Fatalf("rep %d: rung %s solved %d times, want 1", rep, p.Eval.Spec(), n)
+			}
+		}
+	}
+}

@@ -436,7 +436,8 @@ type Defaults struct {
 }
 
 // ErrBadRequest marks EvalGrid errors caused by the request (grammar,
-// unknown kinds) rather than by evaluation itself.
+// unknown kinds, an mcf point with no commodities) rather than by
+// evaluation itself.
 var ErrBadRequest = errors.New("bad eval request")
 
 // EvalGrid parses and evaluates one grid line on the engine and builds
@@ -485,6 +486,9 @@ func EvalGridProgress(ctx context.Context, eng *scenario.Engine, line string, de
 		pts[i] = gp.Point
 	}
 	vals, err := eng.MeasureRunsProgress(ctx, pts, progress)
+	if errors.Is(err, scenario.ErrNoCommodities) {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
 	if err != nil {
 		return nil, err
 	}

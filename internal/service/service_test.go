@@ -212,6 +212,29 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
+// TestNoCommoditiesIsBadRequest: an mcf grid whose topology has no
+// servers answers 400 with the reason, not a 500 from marshaling +Inf,
+// and stores nothing — asking again gives the same 400.
+func TestNoCommoditiesIsBadRequest(t *testing.T) {
+	srv, hs := newTestServer(t, t.TempDir(), 4)
+	const grid = "topo=hetero:ratio=1 traffic=permutation eval=mcf runs=1"
+	for rep := 0; rep < 2; rep++ {
+		status, body := postEval(t, hs.URL, grid)
+		if status != http.StatusBadRequest {
+			t.Fatalf("rep %d: status %d body %s", rep, status, body)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "no commodities") {
+			t.Fatalf("rep %d: error body %s", rep, body)
+		}
+	}
+	if w := srv.cfg.Store.Stats().Writes; w != 0 {
+		t.Fatalf("store writes: %d, want 0", w)
+	}
+}
+
 // TestBadRequests: malformed JSON, an empty grid, and a bad grammar all
 // answer 400 with a JSON error, never 500.
 func TestBadRequests(t *testing.T) {

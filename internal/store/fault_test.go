@@ -256,6 +256,41 @@ func TestTieredClaimSingleflight(t *testing.T) {
 	}
 }
 
+// TestTieredRechecksAfterClaim: a peer that publishes and releases its
+// claim between our disk miss and our Claim must not cost a second solve.
+// A negative-cache entry on our handle holds the window open: the first
+// disk read stays blind to the peer's publish, the lease is free, and only
+// the re-check after winning it can see the entry.
+func TestTieredRechecksAfterClaim(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk.EnableNegativeCache(16, time.Minute)
+	r := NewTiered(disk, nil, TieredOptions{LeaseTTL: 10 * time.Second, Poll: 2 * time.Millisecond})
+	if _, ok := disk.Load("pt"); ok {
+		t.Fatal("cold pool must miss")
+	}
+	peer, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Save("pt", []float64{4, 2}); err != nil {
+		t.Fatal(err)
+	}
+	vals, ok := r.Load("pt")
+	if !ok || !reflect.DeepEqual(vals, []float64{4, 2}) {
+		t.Fatalf("load after a peer's publish: %v %v (a miss sends the point to a second solve)", vals, ok)
+	}
+	if st := r.Stats(); st.ClaimsWon != 1 || st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if _, _, held := disk.ClaimHolder(Addr("pt")); held {
+		t.Fatal("the lease won for the re-check was not released")
+	}
+}
+
 // TestTieredCrashReclaim: a claimant that dies mid-solve must not wedge
 // the pool — its lease expires and a waiter takes over the solve.
 func TestTieredCrashReclaim(t *testing.T) {

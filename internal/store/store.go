@@ -223,8 +223,9 @@ func (s *Store) LoadAddrBuf(addr string, buf []byte, vals []float64) (raw []byte
 }
 
 // loadAddrFresh is LoadAddr bypassing the negative cache — the claim-wait
-// poll path, which exists precisely to observe another process's publish
-// the moment it lands and must not be blinded by a recent negative probe.
+// poll path and the re-check after a claim is won, which exist precisely
+// to observe another process's publish the moment it lands and must not
+// be blinded by a recent negative probe.
 func (s *Store) loadAddrFresh(addr string) ([]float64, bool) {
 	_, vals, ok := s.loadAddrBuf(addr, nil, nil, false)
 	return vals, ok

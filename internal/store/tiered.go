@@ -83,7 +83,7 @@ type Tiered struct {
 
 // TieredStats snapshots a Tiered backend's routing and claim activity.
 type TieredStats struct {
-	DiskHits   int64 // served from the local store
+	DiskHits   int64 // served from the local store, also right after a claim win
 	RemoteHits int64 // served from the remote tier
 	Misses     int64 // served from neither; caller solves
 	Promotions int64 // remote hits written back to disk
@@ -183,19 +183,19 @@ func (t *Tiered) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 	csp := trace.StartSpan(ctx, "claim.wait")
 	defer csp.End()
 	for cycle := 0; cycle < t.opt.WaitCycles; cycle++ {
-		if cycle > 0 {
-			// A previous holder may have published between our last poll and
-			// now; re-check before contending for the lease. The fresh load
-			// bypasses the negative cache: the whole point of polling is to
-			// see another process's publish immediately.
-			if vals, ok := t.disk.loadAddrFresh(addr); ok {
-				csp.Attr("outcome", "wait-hit")
-				t.count(func(s *TieredStats) { s.WaitHits++ })
-				return vals, true
-			}
-		}
 		won, deadline := t.disk.Claim(addr, t.opt.Owner, t.opt.LeaseTTL)
 		if won {
+			// A peer may have published and released its claim between our
+			// last disk read or poll and our Claim; without this re-check
+			// the lease we just won would send a finished point to a second
+			// solve. The fresh load bypasses the negative cache, which may
+			// still remember our own miss.
+			if vals, ok := t.disk.loadAddrFresh(addr); ok {
+				t.disk.Unclaim(addr, t.opt.Owner)
+				csp.Attr("outcome", "claimed-hit")
+				t.count(func(s *TieredStats) { s.ClaimsWon++; s.DiskHits++ })
+				return vals, true
+			}
 			csp.Attr("outcome", "claimed")
 			t.count(func(s *TieredStats) { s.ClaimsWon++; s.Misses++ })
 			return nil, false

@@ -15,7 +15,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/rrg"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/store"
 	"repro/internal/topo"
@@ -102,28 +101,6 @@ func BenchmarkSolverEpsilon(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation: the prebuild staleness margin on the high-ε instance that pays
-// the double-build tax (see ROADMAP): margin=0 is the exact phase-start
-// staleness test, margin=0.5 additionally refreshes borderline-fresh trees
-// at phase start — in parallel, and while their stale regions are still
-// small enough to repair instead of rebuild. On a single core the margin
-// mostly trades serial mid-phase refreshes for phase-start ones (flat
-// wall-clock); the win scales with real cores via the widened parallel
-// section, tracked per-worker by SolverPhasePar.
-func BenchmarkSolverMargin(b *testing.B) {
-	g, flows := solverInstance(b, 40, 10, 5)
-	for _, m := range []float64{0, 0.5} {
-		b.Run(fmt.Sprintf("margin=%v", m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.2, PrebuildMargin: m}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,28 +324,6 @@ func BenchmarkSolverScale(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Ablation: the phase-parallel tree prebuild's scaling with worker count
-// on the Fig. 2 benchmark instance. The solver's output is byte-identical
-// across worker counts (TestSolverDeterministicAcrossWorkers); only
-// wall-clock moves, by parallelizing the predicted-stale tree builds each
-// phase front-loads. The process-wide semaphore is widened to the worker
-// count so the measurement reflects the requested parallelism rather than
-// the machine's default cap.
-func BenchmarkSolverPhasePar(b *testing.B) {
-	g, flows := solverInstance(b, 80, 10, 5)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			runner.SetMaxInFlight(w)
-			defer runner.SetMaxInFlight(0)
-			for i := 0; i < b.N; i++ {
-				if _, err := mcf.Solve(g, flows, mcf.Options{Epsilon: 0.1, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

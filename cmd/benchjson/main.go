@@ -8,9 +8,8 @@
 //	benchjson [-o dir] [-benchtime 1s] [-load-duration 2s]
 //	          [-baseline BENCH_x.json] [-gate name=pct,...]
 //
-// The snapshot covers the flow solver (scale, epsilon, repair-vs-rebuild,
-// prebuild staleness-margin, and phase-parallel worker-scaling ablations),
-// the incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
+// The snapshot covers the flow solver (scale, epsilon, and repair-vs-rebuild
+// ablations), the incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
 // same delta-shaped points solved cold vs warm-started from the parent's
 // stored witness; the ladder's ≥3× cold/warm speedup is enforced by the
 // run itself, baseline or not), the scenario engine's solve cache (cold
@@ -57,7 +56,6 @@ import (
 	"repro/internal/mcf"
 	"repro/internal/remotestore"
 	"repro/internal/rrg"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -132,12 +130,6 @@ func main() {
 			benchRepair(b, 400, 6, mode == "repair")
 		})
 	}
-	for _, m := range []float64{0, 0.5} {
-		m := m
-		add(fmt.Sprintf("SolverMargin/margin=%v", m), func(b *testing.B) {
-			benchSolveMargin(b, 40, 10, 5, 0.2, m)
-		})
-	}
 	for _, mode := range []string{"cold", "warm"} {
 		mode := mode
 		add("ScenarioCache/"+mode, func(b *testing.B) {
@@ -183,16 +175,6 @@ func main() {
 			fatal(fmt.Errorf("SolverWarmStart/%s: warm start only %.2fx faster than cold (acceptance floor %.0fx)",
 				c.name, ratio, c.min))
 		}
-	}
-	for _, w := range []int{1, 2, 4} {
-		w := w
-		add(fmt.Sprintf("SolverPhasePar/workers=%d", w), func(b *testing.B) {
-			// Widen the process semaphore so the requested worker count can
-			// actually fan out; results are byte-identical either way.
-			runner.SetMaxInFlight(w)
-			defer runner.SetMaxInFlight(0)
-			benchSolveWorkers(b, 80, 10, 5, 0.1, w)
-		})
 	}
 	add("BisectionBandwidth/n=200", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
@@ -338,30 +320,6 @@ func compare(baselinePath string, snap *Snapshot, gates string) error {
 		return fmt.Errorf("bench regression:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
-}
-
-func benchSolve(b *testing.B, n, r, sps int, eps float64) {
-	benchSolveWorkers(b, n, r, sps, eps, 0)
-}
-
-// benchSolveMargin mirrors BenchmarkSolverMargin: the high-ε double-build
-// instance with the phase-start prebuild's staleness margin on or off.
-func benchSolveMargin(b *testing.B, n, r, sps int, eps, margin float64) {
-	rng := rand.New(rand.NewSource(1))
-	g, err := rrg.Regular(rng, n, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for u := 0; u < n; u++ {
-		g.SetServers(u, sps)
-	}
-	tm := traffic.Permutation(rng, traffic.HostsOf(g))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps, PrebuildMargin: margin}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchScenarioCache mirrors BenchmarkScenarioCache: a repeated-instance
@@ -615,7 +573,7 @@ func benchWarmStart(b *testing.B, pts []scenario.Point, warm bool) {
 	}
 }
 
-func benchSolveWorkers(b *testing.B, n, r, sps int, eps float64, workers int) {
+func benchSolve(b *testing.B, n, r, sps int, eps float64) {
 	rng := rand.New(rand.NewSource(1))
 	g, err := rrg.Regular(rng, n, r)
 	if err != nil {
@@ -628,7 +586,7 @@ func benchSolveWorkers(b *testing.B, n, r, sps int, eps float64, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps, Workers: workers}); err != nil {
+		if _, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -138,8 +138,7 @@ func main() {
 	fmt.Printf("commodities:  %d (%d server flows, %d colocated)\n",
 		len(tm.Flows), tm.ServerFlows, tm.Colocated)
 	fmt.Printf("phases:       %d (%d tree builds, %d repairs)\n", res.Phases, res.TreeBuilds, res.TreeRepairs)
-	fmt.Printf("tree engine:  %d prebuilt concurrently at phase starts, %d bucket-queue builds\n",
-		res.TreePrebuilds, res.BucketBuilds)
+	fmt.Printf("tree engine:  %d bucket-queue builds\n", res.BucketBuilds)
 	if *verify {
 		rep, err := flowcheck.Verify(&g, tm.Flows, res, flowcheck.Options{})
 		if err != nil {

@@ -155,31 +155,26 @@
 // with incremental Kernighan–Lin swap gains (O(1) per candidate pair)
 // rather than recomputing the full cut capacity per pair.
 //
-// Phase-parallel tree builds. Tree construction is the parallel part of
-// the solver: at each phase start, mcf.Solve finds every source whose
-// tree the phase is about to refresh anyway (the same (1+ε) staleness
-// test the routing loop applies) and refreshes them all concurrently
-// against the frozen phase-start length function — one persistent scratch
-// per source, worker count bounded by Options.Workers and the process-wide
-// runner semaphore. Options.PrebuildMargin optionally tightens that
-// phase-start test to (1 + (1−margin)·ε), pulling borderline-fresh trees
-// into the parallel pass while their stale regions are still small enough
-// to repair — the mitigation for the serial mid-phase double-build tax on
-// tiny high-ε instances (SolverMargin in the bench snapshot). Routing then proceeds serially against those trees, so
-// the solve's output is byte-identical regardless of worker count (the
-// golden figures stay byte-for-byte across machines); only wall-clock
-// changes. Each rebuild also picks its traversal adaptively: when the
-// phase's length spread max/min is small — the early/mid-solve regime,
-// where Garg–Könemann lengths are still near-uniform — a monotone
-// bucket-queue Dijkstra (graph.DijkstraScratch.RunBucketed, bucket width
-// from graph.LengthRange) replaces the heap's O(log n) sifts with O(1)
-// bucket appends; when the spread is wide, or bucket runs keep paying
-// window-overflow rebases (a deterministic kill switch mirroring the
-// repair one), builds revert to the heap. The dual normalizer α is
-// accumulated from the phase-end trees — still built under lengths ≤ the
-// end-of-phase lengths, hence still a valid dual bound, but fresher than
-// the per-piece accumulation it replaced, which tightens the primal-dual
-// certificate and cuts phase counts ~20% on the benchmark workloads.
+// Lazy tree refresh. A source's persistent tree is refreshed only inside
+// the routing loop, when that source routes and the path a piece is about
+// to use fails the (1+ε) staleness test (or the tree does not reach the
+// destination): repaired incrementally when the tree is complete, rebuilt
+// otherwise. Each tree is thus refreshed at most once per staleness, under
+// the lengths it will route on. The solve is serial, so its output depends
+// only on its inputs; solves running side by side share only the read-only
+// graph and the pooled traversal workspaces. Each rebuild also picks its
+// traversal adaptively: when the phase's length spread max/min is small —
+// the early/mid-solve regime, where Garg–Könemann lengths are still
+// near-uniform — a monotone bucket-queue Dijkstra
+// (graph.DijkstraScratch.RunBucketed, bucket width from graph.LengthRange)
+// replaces the heap's O(log n) sifts with O(1) bucket appends; when the
+// spread is wide, or bucket runs keep paying window-overflow rebases (a
+// deterministic kill switch mirroring the repair one), builds revert to
+// the heap. The dual normalizer α is accumulated from the phase-end trees
+// — still built under lengths ≤ the end-of-phase lengths, hence still a
+// valid dual bound, but fresher than the per-piece accumulation it
+// replaced, which tightens the primal-dual certificate and cuts phase
+// counts ~20% on the benchmark workloads.
 //
 // Dynamic tree repair. Stale shortest-path trees need not be rebuilt:
 // because Garg–Könemann lengths only grow, graph.DijkstraScratch.Repair

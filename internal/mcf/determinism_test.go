@@ -1,10 +1,10 @@
-// Determinism of the phase-parallel solver: the phase-start tree prebuild
-// fans out across workers, but every tree is computed against the frozen
-// phase-start length function with per-source scratch state and all shared
-// counters are reduced serially in source order — so the solve's output
-// must be byte-identical for ANY worker count. This is the contract that
-// lets the golden figure tests stay byte-for-byte across machines with
-// different core counts.
+// Determinism of the solver under concurrency: solves running at once
+// share only the read-only graph and the pooled traversal workspaces
+// (graph.DijkstraScratch), which every traversal leaves empty — so a
+// solve's output must be byte-identical whether it runs alone or beside
+// other solves. This is the contract that lets the engine run grid points
+// in parallel and the golden figure tests stay byte-for-byte across
+// machines with different core counts.
 package mcf_test
 
 import (
@@ -13,12 +13,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mcf"
 	"repro/internal/rrg"
-	"repro/internal/runner"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -63,47 +64,64 @@ func determinismInstances(t *testing.T) map[string]instance {
 	return out
 }
 
-// TestSolverDeterministicAcrossWorkers: solving the same instance with 1,
-// 2, and GOMAXPROCS prebuild workers must produce identical Results down
-// to the last bit — flows, paths, counters, and the dual witness alike.
-func TestSolverDeterministicAcrossWorkers(t *testing.T) {
-	// Open the process-wide semaphore so multi-worker runs actually fan
-	// out even on small CI boxes (the default cap is GOMAXPROCS).
-	runner.SetMaxInFlight(8)
-	defer runner.SetMaxInFlight(0)
+// TestSolveDeterministicConcurrent: solving each fixture from
+// 2×GOMAXPROCS goroutines at once must reproduce the serial solve down to
+// the last bit — flows, paths, counters, and the dual witness alike.
+func TestSolveDeterministicConcurrent(t *testing.T) {
+	insts := determinismInstances(t)
+	names := make([]string, 0, len(insts))
+	for name := range insts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	solve := func(name string) (*mcf.Result, error) {
+		inst := insts[name]
+		res, err := mcf.Solve(inst.g, inst.flows, mcf.Options{Epsilon: inst.eps, RecordPaths: true})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		// Timing is wall clock — the one Result field that is
+		// non-deterministic by contract. Everything else must match.
+		res.Timing = mcf.SolveTiming{}
+		return res, nil
+	}
+	ref := map[string]*mcf.Result{}
+	for _, name := range names {
+		res, err := solve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[name] = res
+	}
 
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 5}
-	// Margin 0 is the historical exact phase-start test; 0.5 exercises the
-	// widened borderline-fresh prebuild — both must be worker-independent.
-	for name, inst := range determinismInstances(t) {
-		for _, margin := range []float64{0, 0.5} {
-			var ref *mcf.Result
-			for _, w := range workerCounts {
-				res, err := mcf.Solve(inst.g, inst.flows, mcf.Options{
-					Epsilon: inst.eps, RecordPaths: true, Workers: w, PrebuildMargin: margin,
-				})
+	// Each goroutine solves every fixture, starting at a different one, so
+	// traversals of differently sized graphs interleave on the pool.
+	workers := 2 * runtime.GOMAXPROCS(0)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range names {
+				name := names[(w+k)%len(names)]
+				res, err := solve(name)
 				if err != nil {
-					t.Fatalf("%s margin=%v workers=%d: %v", name, margin, w, err)
+					errs[w] = err
+					return
 				}
-				// Timing is wall clock — the one Result field that is
-				// non-deterministic by contract. Everything else must match.
-				res.Timing = mcf.SolveTiming{}
-				if ref == nil {
-					ref = res
-					if res.TreePrebuilds == 0 {
-						t.Fatalf("%s margin=%v: prebuild never engaged; the determinism test is vacuous", name, margin)
-					}
-					continue
-				}
-				if got, want := math.Float64bits(res.Throughput), math.Float64bits(ref.Throughput); got != want {
-					t.Fatalf("%s margin=%v workers=%d: throughput %v differs from workers=%d reference %v",
-						name, margin, w, res.Throughput, workerCounts[0], ref.Throughput)
-				}
-				if !reflect.DeepEqual(res, ref) {
-					t.Fatalf("%s margin=%v workers=%d: result diverges from workers=%d reference:\n%s",
-						name, margin, w, workerCounts[0], diffResults(ref, res))
+				if !reflect.DeepEqual(res, ref[name]) {
+					errs[w] = fmt.Errorf("%s: concurrent solve diverges from the serial one:\n%s",
+						name, diffResults(ref[name], res))
+					return
 				}
 			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", w, err)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/runner"
 	"repro/internal/traffic"
 )
 
@@ -44,35 +43,6 @@ type Options struct {
 	// shortest paths are unique); the knob exists for the repair-vs-rebuild
 	// benchmarks and oracle tests.
 	DisableRepair bool
-	// Workers bounds the concurrency of the phase-start tree prebuild
-	// (0 means GOMAXPROCS, 1 forces the serial path). Worker count NEVER
-	// changes the solve's output: all trees a phase prebuilds are computed
-	// against the frozen phase-start length function with per-source
-	// scratch state, and all shared counters are reduced serially in
-	// source order afterwards — TestSolverDeterministicAcrossWorkers
-	// enforces byte-identical results for 1, 2, and GOMAXPROCS workers.
-	// Actual parallelism is additionally bounded by the process-wide
-	// runner semaphore (runner.SetMaxInFlight), so nested solves cannot
-	// multiply goroutines.
-	Workers int
-	// PrebuildMargin tightens the phase-start staleness test by that
-	// fraction of ε: the concurrent prebuild refreshes every tree whose
-	// worst requested root path has grown past (1 + (1−margin)·ε) of its
-	// at-build length, not just past the full (1+ε) the routing loop
-	// enforces. Borderline-fresh trees — the ones this phase's routing
-	// would push over the threshold after a piece or two — are thereby
-	// refreshed at phase start, in parallel, while their stale region is
-	// still small enough for a cheap incremental repair, instead of
-	// mid-phase, serially, after the region has grown (often past the
-	// repair budget, costing a failed repair plus a rebuild: the
-	// double-build tax on tiny high-ε instances). 0 (the default) keeps
-	// the exact routing test and the historical trajectory; valid values
-	// are [0, 1). Any margin changes only WHEN trees refresh, never the
-	// (1+ε) slack routing tolerates, so the Fleischer guarantee is
-	// untouched; output remains byte-identical across worker counts for
-	// any fixed margin (the margin test is evaluated on the frozen
-	// phase-start lengths).
-	PrebuildMargin float64
 	// Cancel, when non-nil, aborts the solve at the next phase boundary
 	// once the channel is closed (typically a context's Done channel):
 	// Solve then returns ErrCanceled and whatever partial work was done is
@@ -143,10 +113,6 @@ type Result struct {
 	// incremental repairs, respectively — the repair hit rate.
 	TreeBuilds  int
 	TreeRepairs int
-	// TreePrebuilds counts the tree refreshes (builds or repairs) executed
-	// by the concurrent phase-start prebuild pass rather than serially
-	// inside the routing loop — the parallelizable share of the tree work.
-	TreePrebuilds int
 	// BucketBuilds counts the tree constructions served by the monotone
 	// bucket-queue traversal; the remaining TreeBuilds used the 4-ary
 	// heap. The solver picks per phase from the length spread and falls
@@ -174,25 +140,19 @@ type Result struct {
 	// commodity j gives j's delivered volume (≥ Throughput·demand_j);
 	// summing over paths crossing an arc reconstructs ArcFlow.
 	Paths []PathFlow
-	// Timing is the solve's wall-clock phase telemetry for observability
-	// (prebuild vs. routing time). Unlike every other Result field it is
+	// Timing is the solve's wall-clock telemetry for observability
+	// (routing vs. whole solve). Unlike every other Result field it is
 	// inherently NON-deterministic; determinism tests must zero it before
 	// comparing Results with reflect.DeepEqual.
 	Timing SolveTiming
 }
 
-// SolveTiming is the wall-clock breakdown of one solve: where the time
-// went between the concurrent phase-start tree prebuild pass and the
-// serial routing loop. It feeds the tracing layer's solver-phase spans
-// (internal/trace via the scenario evaluators); nothing in the solver
-// reads it back.
+// SolveTiming is the wall-clock breakdown of one solve. It feeds the
+// tracing layer's solver-phase spans (internal/trace via the scenario
+// evaluators); nothing in the solver reads it back.
 type SolveTiming struct {
-	// PrebuildNanos is the time spent in prebuildTrees across all
-	// phases — the parallelizable share of the tree work.
-	PrebuildNanos int64
-	// RouteNanos is the time spent in the serial per-phase routing
-	// loops (including any in-loop tree rebuilds the prebuild margin
-	// did not cover).
+	// RouteNanos is the time spent in the per-phase routing loops,
+	// including the tree refreshes routing triggers.
 	RouteNanos int64
 	// SolveNanos is the whole solve's wall clock, from state
 	// construction through result extraction.
@@ -216,9 +176,6 @@ func Solve(g *graph.Graph, flows []traffic.Flow, opt Options) (*Result, error) {
 	}
 	if eps >= 0.5 {
 		return nil, fmt.Errorf("mcf: epsilon %v too large", eps)
-	}
-	if opt.PrebuildMargin < 0 || opt.PrebuildMargin >= 1 {
-		return nil, fmt.Errorf("mcf: prebuild margin %v outside [0, 1)", opt.PrebuildMargin)
 	}
 	if len(flows) == 0 {
 		return &Result{Throughput: math.Inf(1), Stretch: 1}, nil
@@ -354,21 +311,10 @@ type state struct {
 	// return to early-exiting Dijkstras.
 	builds, repairs, repairTries int
 
-	// Wall-clock phase telemetry for Result.Timing: startedAt stamps
-	// state construction; prebuildNanos/routeNanos split each phase
-	// between the concurrent prebuild pass and the serial routing loop.
-	startedAt                 time.Time
-	prebuildNanos, routeNanos int64
-
-	// Phase-start concurrent prebuild (see prebuildTrees): pool bounds the
-	// workers, staleSrcs is the reusable list of sources whose trees the
-	// phase refreshes up front, prebuilds counts those refreshes, and
-	// margin (Options.PrebuildMargin) widens the refresh set to
-	// borderline-fresh trees.
-	pool      *runner.Pool
-	staleSrcs []int
-	prebuilds int
-	margin    float64
+	// Wall-clock telemetry for Result.Timing: startedAt stamps state
+	// construction; routeNanos sums the phases' routing loops.
+	startedAt  time.Time
+	routeNanos int64
 
 	// Per-phase traversal choice (see choosePhaseTraversal): phaseDelta is
 	// the bucket width derived from the phase-start length function,
@@ -414,9 +360,6 @@ type srcTree struct {
 	// the phase the tree was last refreshed in.
 	phaseOf   int
 	refreshes int
-	// targets caches the source batch's destination list so a concurrent
-	// prebuild task needs no shared buffer; filled by the phase-start scan.
-	targets []int32
 }
 
 // persistentTreeBudget caps the memory (in bytes, approximately) spent on
@@ -437,8 +380,6 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		routed:      make([]float64, len(flows)),
 		noRepair:    opt.DisableRepair,
 		noBucket:    opt.DisableBucket,
-		pool:        runner.New(opt.Workers),
-		margin:      opt.PrebuildMargin,
 		recordPaths: opt.RecordPaths,
 		bestBound:   math.Inf(1),
 		startedAt:   time.Now(),
@@ -567,9 +508,7 @@ const bucketRangeLimit = 1 << 16
 // bucketMinRuns bucket traversals have executed and they averaged more
 // than bucketRebaseBudget overflow rebases each, the length structure is
 // hostile (distances spread far beyond the resident window) and the solver
-// reverts to the heap for the rest of the solve. Rebase counts depend only
-// on the frozen inputs of each run, so the switch flips — or doesn't —
-// identically across worker counts.
+// reverts to the heap for the rest of the solve.
 const (
 	bucketMinRuns      = 16
 	bucketRebaseBudget = 4
@@ -590,32 +529,13 @@ func (s *state) choosePhaseTraversal() {
 	s.useBucket = minLen > 0 && maxLen <= bucketRangeLimit*minLen
 }
 
-// runTree executes one shortest-path tree construction for src with the
-// phase's traversal choice, reporting whether the bucket path ran and how
-// many overflow rebases it needed. It writes only t's scratch, so it is
-// safe to run concurrently for distinct trees while s.lens is frozen.
-func (s *state) runTree(t *srcTree, src int, targets []int32) (bucket, bailed bool, rebases int) {
-	if t.full {
-		targets = nil
-	}
-	if s.useBucket {
-		t.scratch.RunBucketed(src, s.lens, targets, s.phaseDelta)
-		return true, t.scratch.BucketBailed(), t.scratch.BucketRebases()
-	}
-	t.scratch.Run(src, s.lens, targets)
-	return false, false, 0
-}
-
-// noteBucket folds one construction's traversal stats into the solve and
-// trips the kill switches when the bucket path keeps losing: persistent
+// noteBucket folds one bucket-queue construction's traversal stats into
+// the solve and trips the kill switches when the bucket path keeps losing: persistent
 // window rebases mean the length spread outgrew the resident window, and
 // bails mean mid-phase length growth pushed distances past what the
 // phase-start bucket width can index at all (each bail already cost a
 // wasted partial traversal before the heap rerun, so two are enough).
-func (s *state) noteBucket(bucket, bailed bool, rebases int) {
-	if !bucket {
-		return
-	}
+func (s *state) noteBucket(bailed bool, rebases int) {
 	if bailed {
 		s.bucketBails++
 		if s.bucketBails >= 2 {
@@ -640,11 +560,18 @@ func (s *state) noteBucket(bucket, bailed bool, rebases int) {
 // repair existed.
 func (s *state) buildTree(t *srcTree, src int, targets []int32) {
 	t.full = !s.noRepair && t.hot
-	bucket, bailed, rebases := s.runTree(t, src, targets)
+	if t.full {
+		targets = nil
+	}
+	if s.useBucket {
+		t.scratch.RunBucketed(src, s.lens, targets, s.phaseDelta)
+		s.noteBucket(t.scratch.BucketBailed(), t.scratch.BucketRebases())
+	} else {
+		t.scratch.Run(src, s.lens, targets)
+	}
 	t.seq = s.growSeq
 	t.built = true
 	s.builds++
-	s.noteBucket(bucket, bailed, rebases)
 }
 
 // repairBudget bounds the stale region an incremental repair may process,
@@ -705,132 +632,6 @@ func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
 	}
 }
 
-// phaseStale reports whether src's tree needs a phase-start refresh: never
-// built, or some requested root path is missing or has outgrown
-// (1 + (1−margin)·ε) of its at-build length under the phase-start lengths.
-// At margin 0 this is exactly the test the routing loop applies before
-// each piece, so the prebuild refreshes only trees whose first piece of
-// the phase would have forced a serial refresh anyway; a positive margin
-// additionally catches borderline-fresh trees before the phase's own
-// routing stales them mid-phase (see Options.PrebuildMargin).
-func (s *state) phaseStale(t *srcTree, src int) bool {
-	if !t.built {
-		return true
-	}
-	onePlusEps := 1 + s.eps*(1-s.margin)
-	for _, j := range s.bySrc[src] {
-		var nowLen, buildLen float64
-		at := s.flows[j].Dst
-		for at != src {
-			a := t.scratch.Via(at)
-			if a < 0 {
-				return true // the tree does not reach this destination
-			}
-			nowLen += s.lens[a]
-			buildLen += t.scratch.ViaLen(at)
-			at = int(s.g.Arc(int(a)).From)
-		}
-		if nowLen > onePlusEps*buildLen {
-			return true
-		}
-	}
-	return false
-}
-
-// prebuildStats is one prebuild task's outcome, returned instead of
-// mutating shared counters so the reduce stays serial and deterministic.
-type prebuildStats struct {
-	repairTried bool
-	repaired    bool
-	bucket      bool
-	bailed      bool
-	rebases     int
-}
-
-// prebuildOne brings one stale tree current against the frozen phase-start
-// length function. It is the concurrent mirror of refreshTree: same repair
-// attempt, budget, and rebuild fallback — but every shared input (lens,
-// grownAt, growSeq, the phase's traversal choice, the adaptive switches)
-// is read-only here, and it writes only t.
-func (s *state) prebuildOne(t *srcTree, src int) prebuildStats {
-	var st prebuildStats
-	if t.built && t.full && !s.noRepair {
-		seq := t.seq
-		st.repairTried = true
-		if t.scratch.RepairStale(s.lens,
-			func(a int32) bool { return s.grownAt[a] > seq },
-			s.g.N()/repairBudget) {
-			st.repaired = true
-			t.seq = s.growSeq
-			return st
-		}
-	}
-	t.full = !s.noRepair && t.hot
-	st.bucket, st.bailed, st.rebases = s.runTree(t, src, t.targets)
-	t.seq = s.growSeq
-	t.built = true
-	return st
-}
-
-// prebuildTrees is the phase-start parallel pass: under the frozen
-// phase-start length function it finds every source whose tree the phase
-// is about to refresh anyway (phaseStale) and refreshes them all
-// concurrently, one persistent scratch per source, bounded by the solve's
-// pool and the process-wide runner semaphore. Routing then proceeds
-// serially against those trees, so the solve's output is byte-identical
-// regardless of worker count; only wall-clock changes. The (1+ε) staleness
-// check in the routing loop still guards every piece, so trees that go
-// stale again mid-phase (from this phase's own routing) are refreshed
-// serially exactly as before.
-func (s *state) prebuildTrees() {
-	if s.perSrc == nil {
-		return // shared-tree fallback: one slot, nothing to parallelize
-	}
-	stale := s.staleSrcs[:0]
-	for _, src := range s.srcs {
-		t := s.treeFor(src)
-		if !s.phaseStale(t, src) {
-			continue
-		}
-		// The phase-start staleness of a previously-built tree counts
-		// toward the heat detector exactly as the first serial refresh of
-		// the phase used to.
-		if t.built {
-			t.phaseOf, t.refreshes = s.phases, 1
-		}
-		t.targets = t.targets[:0]
-		for _, j := range s.bySrc[src] {
-			t.targets = append(t.targets, int32(s.flows[j].Dst))
-		}
-		stale = append(stale, src)
-	}
-	s.staleSrcs = stale
-	if len(stale) == 0 {
-		return
-	}
-	stats, _ := runner.Map(s.pool, len(stale), func(i int) (prebuildStats, error) {
-		src := stale[i]
-		return s.prebuildOne(s.perSrc[src], src), nil
-	})
-	// Serial reduce in source order: counters and kill switches see the
-	// same sequence no matter how the tasks were scheduled.
-	for _, st := range stats {
-		if st.repairTried {
-			s.repairTries++
-		}
-		if st.repaired {
-			s.repairs++
-		} else {
-			s.builds++
-		}
-		s.prebuilds++
-		s.noteBucket(st.bucket, st.bailed, st.rebases)
-	}
-	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
-		s.noRepair = true
-	}
-}
-
 // runPhase routes each commodity's full demand once under the current
 // length function. Commodities sharing a source share one Dijkstra tree
 // (Fleischer-style batching), and trees persist across phases; a tree is
@@ -841,13 +642,11 @@ func (s *state) prebuildTrees() {
 // slack the Garg–Könemann analysis tolerates, so capacity-limited pieces
 // whose updates moved the lengths only negligibly no longer force a fresh
 // Dijkstra each, and sources whose neighborhoods are quiet skip the
-// per-phase Dijkstra entirely.
+// per-phase Dijkstra entirely. A tree is refreshed only here, when its
+// source routes, so each refresh sees the current lengths.
 func (s *state) runPhase() {
 	s.choosePhaseTraversal()
-	phaseStart := time.Now()
-	s.prebuildTrees()
 	routeStart := time.Now()
-	s.prebuildNanos += routeStart.Sub(phaseStart).Nanoseconds()
 	defer func() { s.routeNanos += time.Since(routeStart).Nanoseconds() }()
 	onePlusEps := 1 + s.eps
 	s.alpha = 0
@@ -929,8 +728,7 @@ func (s *state) runPhase() {
 		// tree was built (or repaired) under lengths ≤ the end-of-phase
 		// lengths, so Σ demand·dist is a valid α — and the freshest one
 		// available without extra Dijkstras, which keeps the primal-dual
-		// certificate as tight as possible now that prebuilt trees carry
-		// phase-start (smaller) distances.
+		// certificate as tight as possible.
 		for _, src := range s.srcs {
 			t := s.perSrc[src]
 			for _, j := range s.bySrc[src] {
@@ -1022,20 +820,18 @@ func (s *state) result() *Result {
 		witness = s.lens
 	}
 	res := &Result{
-		ArcFlow:       make([]float64, s.m),
-		ArcUtil:       make([]float64, s.m),
-		Phases:        s.phases,
-		TreeBuilds:    s.builds,
-		TreeRepairs:   s.repairs,
-		TreePrebuilds: s.prebuilds,
-		BucketBuilds:  s.bucketBuilds,
-		Epsilon:       s.eps,
-		DualLens:      append([]float64(nil), witness...),
-		WarmStarted:   s.warm,
+		ArcFlow:      make([]float64, s.m),
+		ArcUtil:      make([]float64, s.m),
+		Phases:       s.phases,
+		TreeBuilds:   s.builds,
+		TreeRepairs:  s.repairs,
+		BucketBuilds: s.bucketBuilds,
+		Epsilon:      s.eps,
+		DualLens:     append([]float64(nil), witness...),
+		WarmStarted:  s.warm,
 		Timing: SolveTiming{
-			PrebuildNanos: s.prebuildNanos,
-			RouteNanos:    s.routeNanos,
-			SolveNanos:    time.Since(s.startedAt).Nanoseconds(),
+			RouteNanos: s.routeNanos,
+			SolveNanos: time.Since(s.startedAt).Nanoseconds(),
 		},
 	}
 	// Maximum congestion certifies feasibility after scaling.

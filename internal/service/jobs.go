@@ -134,22 +134,17 @@ func writeJobStatus(w http.ResponseWriter, status int, j *job) {
 	writeBytes(w, status, append(body, '\n'))
 }
 
-// handleSubmitJob accepts the same body as /v1/eval and answers 202 with
-// the job id before any evaluation work starts. The queued record is
-// persisted synchronously first, so a crash right after the 202 still
-// leaves a recoverable job.
+// handleSubmitJob accepts the same body as /v1/eval, under the same size
+// cap, and answers 202 with the job id before any evaluation work starts.
+// The queued record is persisted synchronously first, so a crash right
+// after the 202 still leaves a recoverable job.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	var req EvalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	line, err := readGrid(r, &evalScratch{})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if strings.TrimSpace(req.Grid) == "" {
-		writeError(w, http.StatusBadRequest, errors.New("request needs a grid line"))
-		return
-	}
-	line := strings.Join(strings.Fields(req.Grid), " ")
 	// Parse up front: a malformed grid fails the submission, not the job.
 	grid, err := scenario.ParseGrid(line)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -368,4 +369,27 @@ func TestJobTableBound(t *testing.T) {
 		resp.Body.Close()
 	}
 	pollState(t, hs.URL, id, "canceled")
+}
+
+// TestJobSubmitBodyCapped: POST /v1/jobs reads its body under the same
+// cap as /v1/eval — a 2 MiB body (a valid grid padded with whitespace,
+// which the old unbounded decoder accepted) answers 400 and leaves no job
+// record behind.
+func TestJobSubmitBodyCapped(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, dir, 2)
+	body, _ := json.Marshal(EvalRequest{Grid: testGridQuick + strings.Repeat(" ", 2<<20)})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("2 MiB submit answered %d %s, want 400", rec.Code, rec.Body.Bytes())
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "jobs")); err == nil && len(ents) > 0 {
+		t.Fatalf("rejected submit left %d job records on disk", len(ents))
+	} else if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if n := srv.jobsSubmitted.Load(); n != 0 {
+		t.Fatalf("rejected submit counted as %d submitted jobs", n)
+	}
 }

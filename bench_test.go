@@ -331,69 +331,6 @@ func BenchmarkSolverScale(b *testing.B) {
 	}
 }
 
-// Ablation: dynamic shortest-path-tree repair vs full rebuild on
-// phase-to-phase length updates. Between two refreshes of one source's
-// tree, the Garg–Könemann solver grows the arcs other sources routed on —
-// from this tree's perspective a scattering of mostly non-tree and deep
-// tree arcs. Each iteration applies one such cross-traffic batch and then
-// brings the tree current, either incrementally (Repair) or from scratch
-// (Run). The growth factor is kept infinitesimal so lengths stay finite
-// over any b.N while leaving the repair work (which depends only on which
-// arcs grew) unchanged. Growth concentrated on the tree's own root paths
-// is the opposite regime — stale subtrees hang off the root and repair
-// degenerates to a rebuild — which is why the solver budgets repairs and
-// falls back adaptively (see internal/mcf).
-func BenchmarkSolverRepair(b *testing.B) {
-	for _, c := range []struct{ n, r int }{{80, 10}, {400, 6}} {
-		g, err := rrg.Regular(rand.New(rand.NewSource(1)), c.n, c.r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := g.NumArcs()
-		prep := func() (*graph.DijkstraScratch, []float64, *rand.Rand) {
-			lens := make([]float64, m)
-			rng := rand.New(rand.NewSource(2))
-			for a := range lens {
-				lens[a] = 1 + 1e-3*rng.Float64()
-			}
-			d := g.NewDijkstraScratch()
-			d.Run(0, lens, nil)
-			return d, lens, rng
-		}
-		growBatch := func(lens []float64, rng *rand.Rand, changed []int32) []int32 {
-			changed = changed[:0]
-			for k := 0; k < 12; k++ {
-				a := int32(rng.Intn(m))
-				lens[a] *= 1 + 1e-9
-				changed = append(changed, a)
-			}
-			return changed
-		}
-		b.Run(fmt.Sprintf("n=%d/repair", c.n), func(b *testing.B) {
-			d, lens, rng := prep()
-			var changed []int32
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				changed = growBatch(lens, rng, changed)
-				if !d.Repair(lens, changed) {
-					b.Fatal("repair refused")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("n=%d/rebuild", c.n), func(b *testing.B) {
-			d, lens, rng := prep()
-			var changed []int32
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				changed = growBatch(lens, rng, changed)
-				d.Run(0, lens, nil)
-			}
-		})
-	}
-}
-
 func BenchmarkRRGGeneration(b *testing.B) {
 	for _, c := range []struct{ n, r int }{{40, 10}, {200, 10}, {1000, 4}} {
 		b.Run(fmt.Sprintf("n=%d_r=%d", c.n, c.r), func(b *testing.B) {

@@ -8,8 +8,8 @@
 //	benchjson [-o dir] [-benchtime 1s] [-load-duration 2s]
 //	          [-baseline BENCH_x.json] [-gate name=pct,...]
 //
-// The snapshot covers the flow solver (scale, epsilon, and repair-vs-rebuild
-// ablations), the incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
+// The snapshot covers the flow solver (scale and epsilon sweeps), the
+// incremental-evaluation path (SolverWarmStart/{ladder,expand}: the
 // same delta-shaped points solved cold vs warm-started from the parent's
 // stored witness; the ladder's ≥3× cold/warm speedup is enforced by the
 // run itself, baseline or not), the scenario engine's solve cache (cold
@@ -122,12 +122,6 @@ func main() {
 		eps := eps
 		add(fmt.Sprintf("SolverEpsilon/eps=%v", eps), func(b *testing.B) {
 			benchSolve(b, 40, 10, 5, eps)
-		})
-	}
-	for _, mode := range []string{"repair", "rebuild"} {
-		mode := mode
-		add("SolverRepair/"+mode, func(b *testing.B) {
-			benchRepair(b, 400, 6, mode == "repair")
 		})
 	}
 	for _, mode := range []string{"cold", "warm"} {
@@ -588,41 +582,6 @@ func benchSolve(b *testing.B, n, r, sps int, eps float64) {
 	for i := 0; i < b.N; i++ {
 		if _, err := mcf.Solve(g, tm.Flows, mcf.Options{Epsilon: eps}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// benchRepair mirrors the repository's BenchmarkSolverRepair: per
-// iteration, one cross-traffic batch of arc length growths, then bring the
-// shortest-path tree current by incremental repair or full rebuild.
-func benchRepair(b *testing.B, n, r int, repair bool) {
-	g, err := rrg.Regular(rand.New(rand.NewSource(1)), n, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := g.NumArcs()
-	lens := make([]float64, m)
-	rng := rand.New(rand.NewSource(2))
-	for a := range lens {
-		lens[a] = 1 + 1e-3*rng.Float64()
-	}
-	d := g.NewDijkstraScratch()
-	d.Run(0, lens, nil)
-	changed := make([]int32, 0, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		changed = changed[:0]
-		for k := 0; k < 12; k++ {
-			a := int32(rng.Intn(m))
-			lens[a] *= 1 + 1e-9
-			changed = append(changed, a)
-		}
-		if repair {
-			if !d.Repair(lens, changed) {
-				b.Fatal("repair refused")
-			}
-		} else {
-			d.Run(0, lens, nil)
 		}
 	}
 }

@@ -137,7 +137,7 @@ func main() {
 	fmt.Printf("throughput:   %.5f per unit demand\n", res.Throughput)
 	fmt.Printf("commodities:  %d (%d server flows, %d colocated)\n",
 		len(tm.Flows), tm.ServerFlows, tm.Colocated)
-	fmt.Printf("phases:       %d (%d tree builds, %d repairs)\n", res.Phases, res.TreeBuilds, res.TreeRepairs)
+	fmt.Printf("phases:       %d (%d tree builds)\n", res.Phases, res.TreeBuilds)
 	fmt.Printf("tree engine:  %d bucket-queue builds\n", res.BucketBuilds)
 	if *verify {
 		rep, err := flowcheck.Verify(&g, tm.Flows, res, flowcheck.Options{})

@@ -142,8 +142,8 @@
 // epoch stamps (no O(n) clearing), and runs stop early once every
 // requested target is settled. A scratch owns only O(n) tree state — dist,
 // via, and the length each via arc had when it was set (ViaLen); the
-// traversal working set (heap, bucket window, repair buffers) is emptied
-// by every run and pooled per goroutine. mcf.Solve builds on this with
+// traversal working set (heap, bucket window) is emptied by every run and
+// pooled per goroutine. mcf.Solve builds on this with
 // per-source trees that persist until a requested path's total length has
 // grown by ≥ (1+ε) since the tree was built (the slack the Garg–Könemann
 // analysis tolerates; the at-build length is the ViaLen sum along the
@@ -158,37 +158,23 @@
 // Lazy tree refresh. A source's persistent tree is refreshed only inside
 // the routing loop, when that source routes and the path a piece is about
 // to use fails the (1+ε) staleness test (or the tree does not reach the
-// destination): repaired incrementally when the tree is complete, rebuilt
-// otherwise. Each tree is thus refreshed at most once per staleness, under
-// the lengths it will route on. The solve is serial, so its output depends
-// only on its inputs; solves running side by side share only the read-only
-// graph and the pooled traversal workspaces. Each rebuild also picks its
-// traversal adaptively: when the phase's length spread max/min is small —
-// the early/mid-solve regime, where Garg–Könemann lengths are still
-// near-uniform — a monotone bucket-queue Dijkstra
-// (graph.DijkstraScratch.RunBucketed, bucket width from graph.LengthRange)
-// replaces the heap's O(log n) sifts with O(1) bucket appends; when the
-// spread is wide, or bucket runs keep paying window-overflow rebases (a
-// deterministic kill switch mirroring the repair one), builds revert to
+// destination), and then rebuilt by a traversal that exits early once the
+// batch's destinations are settled. Each tree is thus refreshed at most
+// once per staleness, under the lengths it will route on. The solve is
+// serial, so its output depends only on its inputs; solves running side by
+// side share only the read-only graph and the pooled traversal workspaces.
+// Each rebuild also picks its traversal adaptively: when the phase's
+// length spread max/min is small — the early/mid-solve regime, where
+// Garg–Könemann lengths are still near-uniform — a monotone bucket-queue
+// Dijkstra (graph.DijkstraScratch.RunBucketed, bucket width from
+// graph.LengthRange) replaces the heap's O(log n) sifts with O(1) bucket
+// appends; when the spread is wide, or bucket runs keep paying
+// window-overflow rebases (a deterministic kill switch), builds revert to
 // the heap. The dual normalizer α is accumulated from the phase-end trees
 // — still built under lengths ≤ the end-of-phase lengths, hence still a
 // valid dual bound, but fresher than the per-piece accumulation it
 // replaced, which tightens the primal-dual certificate and cuts phase
 // counts ~20% on the benchmark workloads.
-//
-// Dynamic tree repair. Stale shortest-path trees need not be rebuilt:
-// because Garg–Könemann lengths only grow, graph.DijkstraScratch.Repair
-// (increase-only Ramalingam–Reps) re-relaxes exactly the subtrees hanging
-// below grown tree arcs, seeded from the unaffected boundary, and matches
-// a from-scratch Dijkstra bit-for-bit when shortest paths are unique.
-// Repair is valid only for complete trees (no early exit) and wins only
-// when the stale region is a small fraction of the tree — growth scattered
-// by other sources' routing ("cross-traffic") qualifies; growth along the
-// tree's own root paths does not, since the stale subtree then hangs off
-// the root. mcf.Solve therefore applies it adaptively: sources whose trees
-// go stale more than once per phase get full repairable builds, repairs
-// bail beyond a budget of N/2 affected nodes, and a kill switch reverts
-// the solve to early-exit rebuilds when repairs keep losing.
 //
 // Experiment layer. internal/runner provides the worker pool that the
 // figure runners, core.Evaluation, and the packet-simulation sweeps map

@@ -1,7 +1,7 @@
 // Package flowcheck is an independent verifier for the flows emitted by
 // the internal/mcf solver. The paper's throughput comparisons are only as
 // trustworthy as the solver, and the solver has accumulated aggressive
-// optimizations (early stopping, persistent trees, incremental repair);
+// optimizations (early stopping, persistent trees, bucket queues);
 // flowcheck replays the claims from first principles, sharing none of the
 // solver's hot-path machinery:
 //

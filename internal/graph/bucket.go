@@ -17,11 +17,10 @@ import "math"
 // improving path would need an arc shorter than delta), so every popped
 // current entry is final exactly as in the heap traversal. Distances and
 // parent arcs therefore agree with Run bit-for-bit whenever shortest paths
-// are unique — the same guarantee the repair machinery gives, enforced by
-// FuzzBucketMatchesHeap. Performance does depend on the spread: the
-// traversal visits ~maxDist/delta buckets, so callers should prefer the
-// heap when max length / min length is large (see LengthRange and the
-// adaptive choice in internal/mcf).
+// are unique, which FuzzBucketMatchesHeap enforces. Performance does
+// depend on the spread: the traversal visits ~maxDist/delta buckets, so
+// callers should prefer the heap when max length / min length is large
+// (see LengthRange and the adaptive choice in internal/mcf).
 
 // bqWindow is the number of resident bucket slots (a power of two).
 // Entries whose bucket lies beyond the resident range go to an overflow
@@ -66,10 +65,9 @@ func LengthRange(length []float64) (minPos, max float64) {
 // BucketBailed reports the fallback so adaptive callers can stop paying
 // for doomed attempts.
 //
-// Results are read with Dist/Via/ViaLen/Reached exactly as after Run, the
-// early-exit contract is identical, and a completed run is a valid basis
-// for Repair/RepairStale. When shortest paths are unique the tree is
-// bit-identical to the heap path's.
+// Results are read with Dist/Via/ViaLen/Reached exactly as after Run and
+// the early-exit contract is identical. When shortest paths are unique the
+// tree is bit-identical to the heap path's.
 func (d *DijkstraScratch) RunBucketed(src int, length []float64, targets []int32, delta float64) {
 	w := getWorkspace()
 	if d.runBucketed(w, src, length, targets, delta) {
@@ -238,7 +236,6 @@ func (d *DijkstraScratch) runBucketed(w *workspace, src int, length []float64, t
 	w.bqOver = over[:0]
 	w.bqPending = pending[:0]
 	d.bqBailed = bailed
-	d.complete = !broke
 	return bailed
 }
 

@@ -56,9 +56,6 @@ func TestRunBucketedMatchesHeap(t *testing.T) {
 		dh.Run(src, lens, nil)
 		db.RunBucketed(src, lens, nil, delta)
 		compareTrees(t, "full", g, dh, db)
-		if !db.complete {
-			t.Fatal("full bucketed run not marked complete")
-		}
 	}
 }
 
@@ -97,15 +94,6 @@ func TestRunBucketedTargets(t *testing.T) {
 				at = int(g.Arc(int(a)).From)
 			}
 		}
-		// An early-exited bucket run must refuse Repair, like the heap path.
-		if db.complete && len(targets) < n-1 {
-			// complete can legitimately be true if targets covered the run;
-			// only assert the refusal when the run actually broke early.
-			continue
-		}
-		if db.RepairStale(lens, func(int32) bool { return true }, 0) && !db.complete {
-			t.Fatal("early-exited bucketed run accepted a repair")
-		}
 	}
 }
 
@@ -134,7 +122,8 @@ func TestRunBucketedWideRange(t *testing.T) {
 }
 
 // TestRunBucketedReuse: one scratch must survive interleaved heap and
-// bucket runs (the solver switches per phase) and repairs after either.
+// bucket runs (the solver switches per phase) under lengths that grow
+// between runs, as the solver's do.
 func TestRunBucketedReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g, lens := randomLenGraph(rng, 40, 60, 0.2, 1.0)
@@ -150,18 +139,9 @@ func TestRunBucketedReuse(t *testing.T) {
 			d.Run(src, lens, nil)
 		}
 		compareTrees(t, "reuse", g, ref, d)
-		// Grow a few lengths and repair the (complete) tree in place.
-		var changed []int32
 		for k := 0; k < 5; k++ {
-			a := int32(rng.Intn(g.NumArcs()))
-			lens[a] *= 1 + 0.2*rng.Float64()
-			changed = append(changed, a)
+			lens[rng.Intn(g.NumArcs())] *= 1 + 0.2*rng.Float64()
 		}
-		if !d.Repair(lens, changed) {
-			t.Fatalf("round %d: repair refused after %s run", round, map[bool]string{true: "bucketed", false: "heap"}[round%2 == 0])
-		}
-		ref.Run(src, lens, nil)
-		compareTrees(t, "post-repair", g, ref, d)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // tracked with the epoch stamp (no O(n) clearing between runs).
 //
 // Everything a traversal empties before it returns — the heap, the bucket
-// window and its overflow list, the pending targets and the repair
-// buffers — lives in a workspace taken from a process-wide sync.Pool for
-// the duration of one call, so memory for the working set scales with the
-// number of goroutines traversing, not with the number of trees.
+// window and its overflow list, and the pending targets — lives in a
+// workspace taken from a process-wide sync.Pool for the duration of one
+// call, so memory for the working set scales with the number of goroutines
+// traversing, not with the number of trees.
 //
 // A scratch is bound to the graph that created it and must not be used
 // after links are added. It is not safe for concurrent use; create one
@@ -30,29 +30,19 @@ type DijkstraScratch struct {
 	tmark []uint32  // pending-target marker, same epoch discipline
 	epoch uint32
 
-	// complete records whether the last Run settled every reachable node
-	// (no early exit), which is the precondition for Repair.
-	complete bool
 	// Outcome of the last RunBucketed (see bucket.go).
 	bqRebases int
 	bqBailed  bool
 }
 
 // workspace is the traversal working set. Every run leaves it empty —
-// bucket slots drained, affected and chg all false — so a workspace can
-// serve any scratch of any graph next; buffers indexed by node or arc grow
-// to the largest graph seen.
+// bucket slots drained — so a workspace can serve any scratch of any graph
+// next.
 type workspace struct {
 	heap      []item
 	bqSlots   [][]item // bqWindow slots, allocated on first bucket run
 	bqOver    []item
 	bqPending []int32
-	affected  []bool
-	childHead []int32
-	childNext []int32
-	stack     []int32 // nodes marked affected by the current repair
-	dfs       []int32 // subtree-marking DFS stack
-	chg       []bool  // per-arc changed marks for the list-flavored Repair
 }
 
 var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
@@ -60,15 +50,6 @@ var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
 func getWorkspace() *workspace { return workspacePool.Get().(*workspace) }
 
 func putWorkspace(w *workspace) { workspacePool.Put(w) }
-
-// repairBufs sizes the per-node repair buffers for an n-node graph.
-func (w *workspace) repairBufs(n int) {
-	if len(w.affected) < n {
-		w.affected = make([]bool, n)
-		w.childHead = make([]int32, n)
-		w.childNext = make([]int32, n)
-	}
-}
 
 // NewDijkstraScratch returns a scratch sized for g.
 func (g *Graph) NewDijkstraScratch() *DijkstraScratch {
@@ -123,7 +104,6 @@ func (d *DijkstraScratch) run(w *workspace, src int, length []float64, targets [
 	d.stamp[src] = e
 	h := heapF{a: w.heap[:0]}
 	h.push(item{node: int32(src), d: 0})
-	broke := false
 	for h.len() > 0 {
 		it := h.pop()
 		if it.d > d.dist[it.node] {
@@ -133,7 +113,6 @@ func (d *DijkstraScratch) run(w *workspace, src int, length []float64, targets [
 			d.tmark[it.node] = 0
 			pending--
 			if pending == 0 {
-				broke = true
 				break
 			}
 		}
@@ -151,194 +130,7 @@ func (d *DijkstraScratch) run(w *workspace, src int, length []float64, targets [
 			}
 		}
 	}
-	// The break fires before the last target's out-arcs are relaxed, so an
-	// empty heap after it does not imply a complete tree.
-	d.complete = !broke
 	w.heap = h.a
-}
-
-// Repair updates the last Run's shortest-path tree after a batch of arc
-// length increases, re-relaxing only the subtrees hanging below changed
-// tree arcs instead of rebuilding the whole tree. changed lists the arcs
-// whose length grew since the tree was last computed (duplicates are fine;
-// unchanged arcs in the list are harmless). See RepairStale for the full
-// contract; Repair is the list-flavored convenience used by tests and
-// fuzzing.
-func (d *DijkstraScratch) Repair(length []float64, changed []int32) bool {
-	if len(changed) == 0 {
-		return d.complete
-	}
-	w := getWorkspace()
-	if len(w.chg) < len(d.g.arcs) {
-		w.chg = make([]bool, len(d.g.arcs))
-	}
-	chg := w.chg
-	for _, a := range changed {
-		chg[a] = true
-	}
-	ok := d.repairStale(w, length, func(a int32) bool { return chg[a] }, 0)
-	for _, a := range changed {
-		chg[a] = false
-	}
-	putWorkspace(w)
-	return ok
-}
-
-// RepairStale updates the last Run's shortest-path tree after arc length
-// increases, implementing the increase-only case of Ramalingam–Reps
-// dynamic SSSP:
-//
-//   - grew reports whether an arc's length has grown since the tree was
-//     last computed. It is consulted only for current tree arcs: a changed
-//     arc outside the tree cannot invalidate anything — every distance is
-//     still achieved by its unchanged tree path, and no path got shorter.
-//     Lengths must not have decreased — a shrunken arc can make the
-//     repaired tree suboptimal without detection.
-//   - Only the subtrees hanging below grown tree arcs are re-relaxed, via
-//     a restricted Dijkstra seeded from the unaffected boundary. Nodes
-//     outside those subtrees keep their exact distances, so the repaired
-//     dist/via agree with a from-scratch Dijkstra bit-for-bit whenever the
-//     shortest-path tree is unique (the oracle tests and
-//     FuzzRepairMatchesRebuild enforce this).
-//   - maxAffected > 0 bounds the stale region the repair is willing to
-//     process: if more nodes are affected, RepairStale undoes nothing,
-//     returns false, and the caller should rebuild — for large stale
-//     regions a fresh Run is cheaper than boundary-seeded re-relaxation.
-//
-// RepairStale also returns false — leaving the tree untouched — when the
-// last Run exited early on targets (the settled region is then unknown, so
-// only a full Run can refresh it). After a successful repair the tree is
-// again complete and current for the given lengths.
-func (d *DijkstraScratch) RepairStale(length []float64, grew func(a int32) bool, maxAffected int) bool {
-	w := getWorkspace()
-	ok := d.repairStale(w, length, grew, maxAffected)
-	putWorkspace(w)
-	return ok
-}
-
-func (d *DijkstraScratch) repairStale(w *workspace, length []float64, grew func(a int32) bool, maxAffected int) bool {
-	if !d.complete {
-		return false
-	}
-	e := d.epoch
-	n := d.g.n
-	arcs := d.g.arcs
-	w.repairBufs(n)
-	affected, childHead, childNext := w.affected[:n], w.childHead[:n], w.childNext[:n]
-	// Collect the roots of stale subtrees: heads of grown tree arcs. One
-	// O(n) pass over the tree; most solver repairs find only a few.
-	dfs := w.dfs[:0]
-	for v := 0; v < n; v++ {
-		if d.stamp[v] == e && d.via[v] >= 0 && grew(d.via[v]) {
-			dfs = append(dfs, int32(v))
-		}
-	}
-	if len(dfs) == 0 {
-		w.dfs = dfs
-		return true
-	}
-	// Bucket tree children (first-child/next-sibling) so subtree marking is
-	// a straight DFS. O(n), paid only on repairs that found a stale subtree.
-	for v := range childHead {
-		childHead[v] = -1
-	}
-	for v := 0; v < n; v++ {
-		if d.stamp[v] != e || d.via[v] < 0 {
-			continue
-		}
-		p := arcs[d.via[v]].From
-		childNext[v] = childHead[p]
-		childHead[p] = int32(v)
-	}
-	// Mark every node whose tree path crosses a grown tree arc, bailing out
-	// once the region exceeds the caller's repair budget.
-	touched := w.stack[:0]
-	bailed := false
-	for len(dfs) > 0 {
-		u := dfs[len(dfs)-1]
-		dfs = dfs[:len(dfs)-1]
-		if affected[u] {
-			continue
-		}
-		if maxAffected > 0 && len(touched) >= maxAffected {
-			bailed = true
-			break
-		}
-		affected[u] = true
-		touched = append(touched, u)
-		for c := childHead[u]; c >= 0; c = childNext[c] {
-			dfs = append(dfs, c)
-		}
-	}
-	w.dfs = dfs[:0]
-	if bailed {
-		for _, v := range touched {
-			affected[v] = false
-		}
-		w.stack = touched[:0]
-		return false
-	}
-	// Restricted Dijkstra over the affected set, seeded from the unaffected
-	// boundary: each affected node's best entry via a settled neighbor.
-	c := d.g.csrView()
-	h := heapF{a: w.heap[:0]}
-	for _, v := range touched {
-		d.dist[v] = math.Inf(1)
-	}
-	for _, v := range touched {
-		best := math.Inf(1)
-		bestArc := int32(-1)
-		for k, end := c.start[v], c.start[v+1]; k < end; k++ {
-			u := c.to[k]
-			if affected[u] || d.stamp[u] != e {
-				continue
-			}
-			in := c.arc[k] ^ 1 // the reverse arc u -> v
-			if nd := d.dist[u] + length[in]; nd < best {
-				best, bestArc = nd, in
-			}
-		}
-		if bestArc >= 0 {
-			d.dist[v] = best
-			d.via[v] = bestArc
-			d.vlen[v] = length[bestArc]
-			h.push(item{node: v, d: best})
-		}
-	}
-	for h.len() > 0 {
-		it := h.pop()
-		if it.d > d.dist[it.node] || !affected[it.node] {
-			continue
-		}
-		affected[it.node] = false // settled
-		for k, end := c.start[it.node], c.start[it.node+1]; k < end; k++ {
-			v := c.to[k]
-			if !affected[v] {
-				continue
-			}
-			a := c.arc[k]
-			l := length[a]
-			nd := it.d + l
-			if nd < d.dist[v] {
-				d.dist[v] = nd
-				d.via[v] = a
-				d.vlen[v] = l
-				h.push(item{node: v, d: nd})
-			}
-		}
-	}
-	// Anything still marked was cut off entirely by the length growth (only
-	// possible with +Inf lengths); drop it from the tree.
-	for _, v := range touched {
-		if affected[v] {
-			affected[v] = false
-			d.stamp[v] = e - 1
-			d.via[v] = -1
-		}
-	}
-	w.stack = touched[:0]
-	w.heap = h.a
-	return true
 }
 
 // Dist returns the distance of v from the last Run's source, or +Inf if v
@@ -363,8 +155,7 @@ func (d *DijkstraScratch) Via(v int) int32 {
 // ran, or 0 for the source and unreached nodes. Lengths only grow in the
 // solver, so summing ViaLen along a tree path gives the path's length when
 // the tree was built — what staleness checks compare against — without a
-// per-tree snapshot of every arc length. A node a repair leaves untouched
-// keeps its ViaLen, which is still current because its via arc did not grow.
+// per-tree snapshot of every arc length.
 func (d *DijkstraScratch) ViaLen(v int) float64 {
 	if d.stamp[v] != d.epoch {
 		return 0

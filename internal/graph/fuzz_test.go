@@ -147,75 +147,3 @@ func FuzzBucketMatchesHeap(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRepairMatchesRebuild: arbitrary increase-only length evolutions on a
-// derived random graph must keep Repair bit-identical to a from-scratch
-// Dijkstra, ViaLen included: a node the repair did not touch must still
-// report its via arc's current length. The fuzzer drives which arcs grow, by how much, and how the
-// growth is batched; seeds mirror the oracle-test corpus.
-func FuzzRepairMatchesRebuild(f *testing.F) {
-	f.Add(int64(42), []byte{1, 2, 3, 200, 17, 5})
-	f.Add(int64(99), []byte{0, 0, 0, 0})
-	f.Add(int64(7), []byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 9})
-	f.Add(int64(53), []byte{10, 250, 3, 77, 77, 77, 200, 1})
-
-	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		if len(ops) == 0 || len(ops) > 512 {
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(40)
-		g := New(n)
-		for i := 1; i < n; i++ {
-			g.AddLink(rng.Intn(i), i, 1)
-		}
-		extra := rng.Intn(2 * n)
-		for i := 0; i < extra; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddLink(u, v, 1)
-			}
-		}
-		m := g.NumArcs()
-		lens := make([]float64, m)
-		for a := range lens {
-			lens[a] = 0.1 + rng.Float64()
-		}
-		src := rng.Intn(n)
-		d, ref := g.NewDijkstraScratch(), g.NewDijkstraScratch()
-		d.Run(src, lens, nil)
-		// Each op byte grows one arc; every 4th op closes a batch and
-		// checks the repaired tree against a rebuild.
-		var changed []int32
-		flush := func() {
-			if len(changed) == 0 {
-				return
-			}
-			if !d.Repair(lens, changed) {
-				t.Fatal("repair refused a complete tree")
-			}
-			ref.Run(src, lens, nil)
-			for v := 0; v < n; v++ {
-				if d.Dist(v) != ref.Dist(v) {
-					t.Fatalf("dist[%d]: repair %v, rebuild %v", v, d.Dist(v), ref.Dist(v))
-				}
-				if d.Via(v) != ref.Via(v) {
-					t.Fatalf("via[%d]: repair %d, rebuild %d", v, d.Via(v), ref.Via(v))
-				}
-				if d.ViaLen(v) != ref.ViaLen(v) {
-					t.Fatalf("vialen[%d]: repair %v, rebuild %v", v, d.ViaLen(v), ref.ViaLen(v))
-				}
-			}
-			changed = changed[:0]
-		}
-		for i, op := range ops {
-			a := int32(int(op) % m)
-			lens[a] *= 1 + float64(op%7)/10 + 0.01
-			changed = append(changed, a)
-			if i%4 == 3 {
-				flush()
-			}
-		}
-		flush()
-	})
-}

@@ -79,22 +79,12 @@ func checkTargets(d *DijkstraScratch, g *Graph, src int, lens []float64, targets
 }
 
 // checkEmpty asserts the invariant that lets one workspace serve any
-// scratch next: nothing queued and no node or arc left marked.
+// scratch next: nothing left queued.
 func checkEmpty(t *testing.T, w *workspace, ctx string) {
 	t.Helper()
 	for i, s := range w.bqSlots {
 		if len(s) != 0 {
 			t.Fatalf("%s: bucket slot %d holds %d entries", ctx, i, len(s))
-		}
-	}
-	for v, a := range w.affected {
-		if a {
-			t.Fatalf("%s: node %d left marked affected", ctx, v)
-		}
-	}
-	for a, c := range w.chg {
-		if c {
-			t.Fatalf("%s: arc %d left marked changed", ctx, a)
 		}
 	}
 }
@@ -111,10 +101,9 @@ func pickTargets(rng *rand.Rand, n, src, k int) []int32 {
 }
 
 // TestWorkspaceLeftEmpty drives one workspace through every way a
-// traversal can end — complete, early exit, bucket bail, repair over
-// budget, repair cutting nodes off — on graphs of growing and shrinking
-// size, and checks after each that results are exact and the workspace is
-// empty again.
+// traversal can end — complete, early exit, bucket bail — on graphs of
+// growing and shrinking size, and checks after each that results are
+// exact and the workspace is empty again.
 func TestWorkspaceLeftEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w := new(workspace)
@@ -150,52 +139,15 @@ func TestWorkspaceLeftEmpty(t *testing.T) {
 			t.Fatalf("%s: %v", ctx("heap rerun"), err)
 		}
 		checkEmpty(t, w, ctx("heap rerun"))
-
-		// Growing every arc stales the whole tree: over a budget of one
-		// node the repair must refuse and leave the tree as it was.
-		grown := append([]float64(nil), lens...)
-		for a := range grown {
-			grown[a] *= 1.5
-		}
-		all := func(int32) bool { return true }
-		if d.repairStale(w, grown, all, 1) {
-			t.Fatalf("%s: repair over budget accepted", ctx("repair bail"))
-		}
-		checkEmpty(t, w, ctx("repair bail"))
-		if err := checkFull(d, g, src, lens); err != nil {
-			t.Fatalf("%s: refused repair changed the tree: %v", ctx("repair bail"), err)
-		}
-		if !d.repairStale(w, grown, all, 0) {
-			t.Fatalf("%s: unbounded repair refused", ctx("repair"))
-		}
-		if err := checkFull(d, g, src, grown); err != nil {
-			t.Fatalf("%s: %v", ctx("repair"), err)
-		}
-		checkEmpty(t, w, ctx("repair"))
-
-		// +Inf on every arc out of the source cuts off every other node.
-		cut := append([]float64(nil), grown...)
-		for _, a := range g.OutArcs(src) {
-			cut[a] = math.Inf(1)
-		}
-		if !d.repairStale(w, cut, all, 0) {
-			t.Fatalf("%s: repair refused", ctx("cut-off repair"))
-		}
-		for v := 0; v < n; v++ {
-			if v != src && d.Reached(v) {
-				t.Fatalf("%s: node %d still reached", ctx("cut-off repair"), v)
-			}
-		}
-		checkEmpty(t, w, ctx("cut-off repair"))
 	}
 }
 
 // TestWorkspacePoolConcurrentGraphs runs scratches of graphs with
 // different node counts on the shared workspace pool — first in sequence,
 // then from several goroutines at once (run it with -race) — through heap,
-// bucket, early-exit, bailing and repair traversals. Every result must
-// match the independent reference, so no queued entry, affected mark or
-// changed mark can leak from one run into another.
+// bucket, early-exit and bailing traversals. Every result must match the
+// independent reference, so no queued entry can leak from one run into
+// another.
 func TestWorkspacePoolConcurrentGraphs(t *testing.T) {
 	type instance struct {
 		g    *Graph
@@ -207,15 +159,13 @@ func TestWorkspacePoolConcurrentGraphs(t *testing.T) {
 		g, lens := randomLenGraph(rng, n, 2*n, 0.1, 1.1)
 		insts = append(insts, instance{g, lens})
 	}
-	// worker runs rounds of random operations with its own scratches and
-	// length copies, cycling through the graphs so consecutive pool users
-	// differ in size.
+	// worker runs rounds of random operations with its own scratches,
+	// cycling through the graphs so consecutive pool users differ in size.
 	worker := func(seed int64, rounds int) error {
 		rng := rand.New(rand.NewSource(seed))
 		for r := 0; r < rounds; r++ {
 			in := insts[(int(seed)+r)%len(insts)]
-			g, n := in.g, in.g.N()
-			lens := append([]float64(nil), in.lens...)
+			g, n, lens := in.g, in.g.N(), in.lens
 			minLen, _ := LengthRange(lens)
 			src := rng.Intn(n)
 			d := g.NewDijkstraScratch()
@@ -232,21 +182,8 @@ func TestWorkspacePoolConcurrentGraphs(t *testing.T) {
 				return fmt.Errorf("round %d early exit: %w", r, err)
 			}
 			d.RunBucketed(src, lens, nil, minLen)
-			var changed []int32
-			for k := 0; k < 1+rng.Intn(8); k++ {
-				a := int32(rng.Intn(len(lens)))
-				lens[a] *= 1 + rng.Float64()
-				changed = append(changed, a)
-			}
-			if r%2 == 0 {
-				if !d.Repair(lens, changed) {
-					return fmt.Errorf("round %d: repair refused", r)
-				}
-			} else if !d.RepairStale(lens, func(int32) bool { return true }, 1) {
-				d.Run(src, lens, nil) // over budget: rebuild, as the solver does
-			}
 			if err := checkFull(d, g, src, lens); err != nil {
-				return fmt.Errorf("round %d repair: %w", r, err)
+				return fmt.Errorf("round %d full run: %w", r, err)
 			}
 		}
 		return nil

@@ -33,7 +33,7 @@ type instance struct {
 
 // determinismInstances builds named fixtures spanning the solver's
 // regimes: permutation on RRG (the benchmark workload), heavy demand
-// (repair-heavy), and the Clos baseline.
+// (many pieces per phase), and the Clos baseline.
 func determinismInstances(t *testing.T) map[string]instance {
 	t.Helper()
 	out := map[string]instance{}

@@ -37,12 +37,6 @@ type Options struct {
 	// and demand proportionality from first principles. Off by default: the
 	// decomposition can hold one entry per routed piece.
 	RecordPaths bool
-	// DisableRepair forces stale shortest-path trees to be rebuilt from
-	// scratch instead of incrementally repaired. The solver trajectory is
-	// unaffected either way (a repaired tree equals a rebuilt tree whenever
-	// shortest paths are unique); the knob exists for the repair-vs-rebuild
-	// benchmarks and oracle tests.
-	DisableRepair bool
 	// Cancel, when non-nil, aborts the solve at the next phase boundary
 	// once the channel is closed (typically a context's Done channel):
 	// Solve then returns ErrCanceled and whatever partial work was done is
@@ -109,10 +103,8 @@ type Result struct {
 	Stretch float64
 	// Phases is the number of completed Garg–Könemann phases.
 	Phases int
-	// TreeBuilds and TreeRepairs count full Dijkstra tree constructions and
-	// incremental repairs, respectively — the repair hit rate.
-	TreeBuilds  int
-	TreeRepairs int
+	// TreeBuilds counts shortest-path tree constructions.
+	TreeBuilds int
 	// BucketBuilds counts the tree constructions served by the monotone
 	// bucket-queue traversal; the remaining TreeBuilds used the 4-ary
 	// heap. The solver picks per phase from the length spread and falls
@@ -289,27 +281,13 @@ type state struct {
 	viaLenBuf []float64 // ViaLen of each pathBuf arc (see walkPath)
 	targetBuf []int32
 
-	// grownAt[a] is the value of growSeq when arc a's length last grew;
-	// growSeq advances once per routed piece. A persistent tree remembers
-	// the seq it was last current at, so "which of my tree arcs went stale"
-	// is answered in O(1) per tree arc and the tree is incrementally
-	// repaired instead of rebuilt. Unused (noRepair) when
-	// Options.DisableRepair is set or the shared-tree fallback is active.
-	grownAt  []int64
-	growSeq  int64
-	noRepair bool
-
 	// bestBound/bestLens track the smallest per-phase dual bound and its
 	// length snapshot — the ε-optimality witness exported on Result.
 	bestBound float64
 	bestLens  []float64
 
-	// builds/repairs count full tree constructions vs incremental repairs;
-	// repairTries counts attempts. When attempts keep exceeding the repair
-	// budget (stale regions are global, as in dense high-demand instances),
-	// repair is switched off for the rest of the solve and tree builds
-	// return to early-exiting Dijkstras.
-	builds, repairs, repairTries int
+	// builds counts tree constructions (Result.TreeBuilds).
+	builds int
 
 	// Wall-clock telemetry for Result.Timing: startedAt stamps state
 	// construction; routeNanos sums the phases' routing loops.
@@ -321,13 +299,12 @@ type state struct {
 	// useBucket the phase's heap-vs-bucket decision, noBucket the sticky
 	// off switch (Options.DisableBucket or the rebase kill switch).
 	// bucketBuilds/bucketRebases track the bucket path's hit count and its
-	// failure mode, mirroring the repair kill-switch machinery.
+	// failure mode, which trips the kill switch.
 	phaseDelta    float64
 	useBucket     bool
 	noBucket      bool
 	bucketBuilds  int
 	bucketRebases int
-	bucketBails   int
 
 	// rec accumulates the path decomposition when Options.RecordPaths is on.
 	rec []PathFlow
@@ -345,21 +322,6 @@ type state struct {
 type srcTree struct {
 	scratch *graph.DijkstraScratch
 	built   bool
-	// seq is the state.growSeq value the tree is current for: arcs with
-	// grownAt > seq are length growths the tree has not absorbed yet.
-	seq int64
-	// full records whether the last build settled the whole graph (the
-	// precondition for incremental repair); cold sources early-exit instead.
-	full bool
-	// hot marks a source whose tree went stale more than once within a
-	// single phase: its demand outruns its bottlenecks, so staleness is
-	// self-inflicted and localized — the regime where incremental repair
-	// beats rebuilding. Hot sources get full (repairable) builds.
-	hot bool
-	// phaseOf/refreshes implement the heat detector: refresh count within
-	// the phase the tree was last refreshed in.
-	phaseOf   int
-	refreshes int
 }
 
 // persistentTreeBudget caps the memory (in bytes, approximately) spent on
@@ -378,7 +340,6 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 		bySrc:       make(map[int][]int),
 		flows:       flows,
 		routed:      make([]float64, len(flows)),
-		noRepair:    opt.DisableRepair,
 		noBucket:    opt.DisableBucket,
 		recordPaths: opt.RecordPaths,
 		bestBound:   math.Inf(1),
@@ -403,17 +364,11 @@ func newState(g *graph.Graph, flows []traffic.Flow, eps float64, opt Options) *s
 	sort.Ints(s.srcs)
 	// Footprint per persistent tree: the scratch's dist/vlen (8n each) and
 	// via/stamp/tmark (4n each) arrays. The traversal working set (heap,
-	// bucket window, repair buffers) is pooled per goroutine, not per tree.
+	// bucket window) is pooled per goroutine, not per tree.
 	if len(s.srcs)*28*g.N() <= persistentTreeBudget {
 		s.perSrc = make(map[int]*srcTree, len(s.srcs))
 	} else {
 		s.shared = &srcTree{scratch: g.NewDijkstraScratch()}
-		// The shared slot is reused by every source, so a tree never
-		// survives long enough for incremental repair to pay off.
-		s.noRepair = true
-	}
-	if !s.noRepair {
-		s.grownAt = make([]int64, m)
 	}
 	return s
 }
@@ -504,11 +459,11 @@ func (s *state) checkReachability() error {
 // as phases route, so early and mid solve sit far below the limit.
 const bucketRangeLimit = 1 << 16
 
-// Deterministic bucket kill switch, mirroring the repair one: once
-// bucketMinRuns bucket traversals have executed and they averaged more
-// than bucketRebaseBudget overflow rebases each, the length structure is
-// hostile (distances spread far beyond the resident window) and the solver
-// reverts to the heap for the rest of the solve.
+// Deterministic bucket kill switch: once bucketMinRuns bucket traversals
+// have executed and they averaged more than bucketRebaseBudget overflow
+// rebases each, the length structure is hostile (distances spread far
+// beyond the resident window) and the solver reverts to the heap for the
+// rest of the solve.
 const (
 	bucketMinRuns      = 16
 	bucketRebaseBudget = 4
@@ -529,21 +484,11 @@ func (s *state) choosePhaseTraversal() {
 	s.useBucket = minLen > 0 && maxLen <= bucketRangeLimit*minLen
 }
 
-// noteBucket folds one bucket-queue construction's traversal stats into
-// the solve and trips the kill switches when the bucket path keeps losing: persistent
-// window rebases mean the length spread outgrew the resident window, and
-// bails mean mid-phase length growth pushed distances past what the
-// phase-start bucket width can index at all (each bail already cost a
-// wasted partial traversal before the heap rerun, so two are enough).
-func (s *state) noteBucket(bailed bool, rebases int) {
-	if bailed {
-		s.bucketBails++
-		if s.bucketBails >= 2 {
-			s.noBucket = true
-			s.useBucket = false
-		}
-		return
-	}
+// noteBucket folds one bucket-queue construction's rebase count into the
+// solve and trips the kill switch when the bucket path keeps losing:
+// persistent window rebases mean the length spread outgrew the resident
+// window.
+func (s *state) noteBucket(rebases int) {
 	s.bucketBuilds++
 	s.bucketRebases += rebases
 	if s.bucketBuilds >= bucketMinRuns && s.bucketRebases > bucketRebaseBudget*s.bucketBuilds {
@@ -552,84 +497,20 @@ func (s *state) noteBucket(bailed bool, rebases int) {
 	}
 }
 
-// buildTree computes a fresh shortest-path tree for the source batch; the
+// buildTree computes a fresh shortest-path tree for the source batch,
+// exiting early once every destination of the batch is settled; the
 // scratch's ViaLen records the lengths later routing detects staleness by.
-// Hot sources (see srcTree.hot) are built in full — incremental repair
-// needs every reachable node settled — while cold sources keep the early
-// exit once every destination of the batch is settled, exactly as before
-// repair existed.
 func (s *state) buildTree(t *srcTree, src int, targets []int32) {
-	t.full = !s.noRepair && t.hot
-	if t.full {
-		targets = nil
-	}
 	if s.useBucket {
 		t.scratch.RunBucketed(src, s.lens, targets, s.phaseDelta)
-		s.noteBucket(t.scratch.BucketBailed(), t.scratch.BucketRebases())
+		if !t.scratch.BucketBailed() { // a bailed run was redone by the heap
+			s.noteBucket(t.scratch.BucketRebases())
+		}
 	} else {
 		t.scratch.Run(src, s.lens, targets)
 	}
-	t.seq = s.growSeq
 	t.built = true
 	s.builds++
-}
-
-// repairBudget bounds the stale region an incremental repair may process,
-// as a fraction of the node count (denominator): beyond roughly half the
-// tree, boundary-seeded re-relaxation costs about as much as a fresh
-// early-exiting Dijkstra, so the repair bails and the tree is rebuilt.
-const repairBudget = 2
-
-// Adaptive kill switch: once repairMinTries attempts have been made and
-// fewer than 1/repairWinRatio of them succeeded, the workload's stale
-// regions are global (a Garg–Könemann phase that reroutes every commodity
-// touches nearly every arc) and repair cannot beat an early-exiting
-// rebuild, so the solver stops attempting it.
-const (
-	repairMinTries = 64
-	repairWinRatio = 8
-)
-
-// refreshTree brings a stale tree up to date with the current length
-// function: an incremental repair over the arcs that grew since the tree's
-// seq, falling back to a rebuild when the source is cold (early-exited
-// tree), repair is disabled, or the repair went over budget (stale region
-// too large).
-func (s *state) refreshTree(t *srcTree, src int, targets []int32) {
-	if !t.built {
-		s.buildTree(t, src, targets)
-		return
-	}
-	// Heat detector: a second staleness within one phase means the source's
-	// own routing is outrunning its bottlenecks; from the next build on it
-	// gets a full, repairable tree.
-	if t.phaseOf == s.phases {
-		t.refreshes++
-		if t.refreshes >= 2 {
-			t.hot = true
-		}
-	} else {
-		t.phaseOf, t.refreshes = s.phases, 1
-	}
-	if s.noRepair || !t.full {
-		s.buildTree(t, src, targets)
-		return
-	}
-	seq := t.seq
-	s.repairTries++
-	ok := t.scratch.RepairStale(s.lens,
-		func(a int32) bool { return s.grownAt[a] > seq },
-		s.g.N()/repairBudget)
-	if ok {
-		t.seq = s.growSeq
-		s.repairs++
-	}
-	if s.repairTries >= repairMinTries && s.repairs*repairWinRatio < s.repairTries {
-		s.noRepair = true
-	}
-	if !ok {
-		s.buildTree(t, src, targets)
-	}
 }
 
 // runPhase routes each commodity's full demand once under the current
@@ -682,7 +563,7 @@ func (s *state) runPhase() {
 					}
 				}
 				if path == nil {
-					s.refreshTree(t, src, targets)
+					s.buildTree(t, src, targets)
 					path = s.walkPath(t, dst)
 					if path == nil {
 						// Should be impossible after checkReachability.
@@ -700,12 +581,6 @@ func (s *state) runPhase() {
 					}
 				}
 				u := math.Min(remaining, bottleneck)
-				if !s.noRepair {
-					s.growSeq++
-					for _, a := range path {
-						s.grownAt[a] = s.growSeq
-					}
-				}
 				for _, a := range path {
 					s.flow[a] += u
 					old := s.lens[a]
@@ -725,10 +600,10 @@ func (s *state) runPhase() {
 	}
 	if s.perSrc != nil {
 		// Dual normalizer from the phase-end trees: each source's newest
-		// tree was built (or repaired) under lengths ≤ the end-of-phase
-		// lengths, so Σ demand·dist is a valid α — and the freshest one
-		// available without extra Dijkstras, which keeps the primal-dual
-		// certificate as tight as possible.
+		// tree was built under lengths ≤ the end-of-phase lengths, so
+		// Σ demand·dist is a valid α — and the freshest one available
+		// without extra Dijkstras, which keeps the primal-dual certificate
+		// as tight as possible.
 		for _, src := range s.srcs {
 			t := s.perSrc[src]
 			for _, j := range s.bySrc[src] {
@@ -824,7 +699,6 @@ func (s *state) result() *Result {
 		ArcUtil:      make([]float64, s.m),
 		Phases:       s.phases,
 		TreeBuilds:   s.builds,
-		TreeRepairs:  s.repairs,
 		BucketBuilds: s.bucketBuilds,
 		Epsilon:      s.eps,
 		DualLens:     append([]float64(nil), witness...),

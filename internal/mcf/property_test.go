@@ -1,17 +1,16 @@
 // Property-based certification of the solver: every solve on randomized
-// instances must pass the independent flowcheck verifier, and the solver's
-// incremental tree repair must be indistinguishable from full rebuilds.
+// instances must pass the independent flowcheck verifier.
 // The package is mcf_test so it can import flowcheck (which imports mcf).
 package mcf_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/flowcheck"
 	"repro/internal/graph"
+	"repro/internal/hetero"
 	"repro/internal/mcf"
 	"repro/internal/rrg"
 	"repro/internal/topo"
@@ -36,7 +35,7 @@ func randomDemands(rng *rand.Rand, n, count int, maxD float64) []traffic.Flow {
 
 // certify solves the instance with path recording and demands a clean
 // flowcheck report.
-func certify(t *testing.T, g *graph.Graph, flows []traffic.Flow, eps float64, ctx string) *mcf.Result {
+func certify(t *testing.T, g *graph.Graph, flows []traffic.Flow, eps float64, ctx string) {
 	t.Helper()
 	res, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, RecordPaths: true})
 	if err != nil {
@@ -49,7 +48,6 @@ func certify(t *testing.T, g *graph.Graph, flows []traffic.Flow, eps float64, ct
 	if !rep.OK() {
 		t.Fatalf("%s: verifier rejected the solve:\n%s", ctx, rep)
 	}
-	return res
 }
 
 // TestFlowcheckCertifiesRandomRRG: randomized regular random graphs under
@@ -107,116 +105,35 @@ func TestFlowcheckCertifiesAllToAll(t *testing.T) {
 	certify(t, g, tm.Flows, 0.1, "all-to-all")
 }
 
-// TestFlowcheckCertifiesHeavyDemand: the repair-heavy regime (demand far
-// above bottleneck capacity, many pieces per phase) must stay certified.
+// TestFlowcheckCertifiesHeavyDemand: demand far above bottleneck capacity,
+// so each phase routes many pieces and trees go stale mid-phase, must stay
+// certified. Besides a random RRG with random heavy demands, this covers
+// the paper's heterogeneous networks under permutation traffic: mixed
+// switch sizes with servers packed onto the large switches (ratio 1.5),
+// once with uniform line speeds and once with a 10× high-speed mesh among
+// the large switches.
 func TestFlowcheckCertifiesHeavyDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g, err := rrg.Regular(rng, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := randomDemands(rng, 60, 8, 30)
-	res := certify(t, g, flows, 0.1, "heavy-demand")
-	if res.TreeRepairs == 0 {
-		t.Log("note: no repairs engaged on the heavy-demand instance")
-	}
-}
+	certify(t, g, randomDemands(rng, 60, 8, 30), 0.1, "heavy-demand rrg")
 
-// TestRepairTrajectoryMatchesRebuild: with repair on vs off the solver may
-// break shortest-path ties differently, but throughput must agree within
-// the ε class and both runs must verify.
-func TestRepairTrajectoryMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 6; trial++ {
-		n := 20 + rng.Intn(40)
-		g, err := rrg.Regular(rng, n, 4+2*rng.Intn(2))
+	base := hetero.Config{NumLarge: 10, NumSmall: 20, PortsLarge: 20, PortsSmall: 8,
+		Servers: 160, ServerRatio: 1.5}
+	mixed := base
+	mixed.HighLinksPerLarge, mixed.HighCap = 3, 10
+	for _, c := range []struct {
+		name string
+		cfg  hetero.Config
+	}{{"hetero ratio=1.5", base}, {"hetero ratio=1.5 10x mesh", mixed}} {
+		rng := rand.New(rand.NewSource(5))
+		g, err := hetero.Build(rng, c.cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		flows := randomDemands(rng, n, 5+rng.Intn(10), 25)
-		eps := 0.1
-		on, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, RecordPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := mcf.Solve(g, flows, mcf.Options{Epsilon: eps, DisableRepair: true, RecordPaths: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(on.Throughput-off.Throughput) / off.Throughput; d > 2*eps {
-			t.Fatalf("trial %d: repair-on λ=%v vs repair-off λ=%v diverge by %.1f%%",
-				trial, on.Throughput, off.Throughput, 100*d)
-		}
-		for name, res := range map[string]*mcf.Result{"on": on, "off": off} {
-			rep, err := flowcheck.Verify(g, flows, res, flowcheck.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.OK() {
-				t.Fatalf("trial %d repair-%s rejected:\n%s", trial, name, rep)
-			}
-		}
-	}
-}
-
-// TestRepairOracleUnderSolverLengths drives the graph-level repair through
-// the exact length evolution the solver produces — multiplicative growth
-// along root-to-destination paths — and demands bit-identical dist/via
-// against a from-scratch Dijkstra after every batch. Together with
-// graph.TestRepairOracle this is the repair oracle: ≥100 randomized
-// sequences across the two.
-func TestRepairOracleUnderSolverLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for seq := 0; seq < 60; seq++ {
-		n := 16 + rng.Intn(60)
-		r := 3 + rng.Intn(4)
-		if r >= n {
-			r = n - 1
-		}
-		if n*r%2 == 1 {
-			r--
-		}
-		g, err := rrg.Regular(rng, n, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := g.NumArcs()
-		lens := make([]float64, m)
-		for a := range lens {
-			lens[a] = 0.01 * (1 + 0.001*rng.Float64()) // near-uniform GK start, no exact ties
-		}
-		src := rng.Intn(n)
-		d := g.NewDijkstraScratch()
-		d.Run(src, lens, nil)
-		for round := 0; round < 6; round++ {
-			// Grow the arcs of the current tree path to a random target by
-			// the solver's (1 + ε·u/c) factor, plus a few foreign arcs.
-			var changed []int32
-			dst := rng.Intn(n)
-			for at := dst; at != src; {
-				a := d.Via(at)
-				if a < 0 {
-					break
-				}
-				lens[a] *= 1 + 0.1*rng.Float64()
-				changed = append(changed, a)
-				at = int(g.Arc(int(a)).From)
-			}
-			for k := 0; k < 3; k++ {
-				a := int32(rng.Intn(m))
-				lens[a] *= 1 + 0.05*rng.Float64()
-				changed = append(changed, a)
-			}
-			if !d.Repair(lens, changed) {
-				t.Fatalf("seq %d round %d: repair refused", seq, round)
-			}
-			dist, via := g.Dijkstra(src, lens)
-			for v := 0; v < n; v++ {
-				if d.Dist(v) != dist[v] || d.Via(v) != via[v] {
-					t.Fatalf("seq %d round %d: node %d repair (%v, %d) != rebuild (%v, %d)",
-						seq, round, v, d.Dist(v), d.Via(v), dist[v], via[v])
-				}
-			}
-		}
+		tm := traffic.Permutation(rng, traffic.HostsOf(g))
+		certify(t, g, tm.Flows, 0.1, c.name)
 	}
 }

@@ -125,9 +125,8 @@ func (MCF) EvaluateDetailed(ctx *EvalContext) (Detail, error) {
 }
 
 // solveSpan closes a solver span with the solve's phase telemetry: the
-// route/solve wall clock from Result.Timing, the tree
-// build/repair and bucket-vs-heap counters, and how the solve was
-// seeded. Inert (free) when the span is not live.
+// route/solve wall clock from Result.Timing, the tree build and
+// bucket-vs-heap counters, and how the solve was seeded. Inert (free) when the span is not live.
 func solveSpan(sp trace.Span, res *mcf.Result, seeded bool) {
 	if !sp.OK() {
 		return
@@ -137,7 +136,6 @@ func solveSpan(sp trace.Span, res *mcf.Result, seeded bool) {
 		sp.AttrInt("route_ns", res.Timing.RouteNanos)
 		sp.AttrInt("solve_ns", res.Timing.SolveNanos)
 		sp.AttrInt("tree_builds", int64(res.TreeBuilds))
-		sp.AttrInt("tree_repairs", int64(res.TreeRepairs))
 		sp.AttrInt("bucket_builds", int64(res.BucketBuilds))
 		if res.WarmStarted {
 			sp.Attr("seed", "warm")

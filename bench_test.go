@@ -374,6 +374,7 @@ func BenchmarkBisectionBandwidth(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := maxflow.BisectionBandwidth(g, 4); v <= 0 {
 			b.Fatal("non-positive bisection estimate")

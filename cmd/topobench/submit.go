@@ -13,6 +13,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/remotestore"
 )
 
 // runSubmit is the `topobench submit` subcommand: the client side of the
@@ -84,10 +86,10 @@ func runSubmit(args []string) {
 	}
 }
 
-// Submission retry policy — mirrors internal/remotestore's transport
-// policy: a bounded number of attempts with full-jitter exponential
-// backoff, retrying only failures that a later attempt could answer
-// differently (network errors, 429 backpressure, 5xx). An authoritative
+// Submission retry policy — internal/remotestore's transport policy: a
+// bounded number of attempts with its full-jitter exponential backoff,
+// retrying only failures that a later attempt could answer differently
+// (network errors, remotestore.RetryableStatus). An authoritative
 // 4xx — bad grid, malformed request — fails fast: retrying cannot change
 // the answer. Retrying a POST whose accept response was lost can create a
 // duplicate job; that is safe here because the daemon's flight table and
@@ -98,22 +100,6 @@ const (
 	submitBackoffBase = 50 * time.Millisecond
 	submitBackoffMax  = time.Second
 )
-
-// retryableStatus reports whether an HTTP status is worth a retry
-// (transient server state), as opposed to an authoritative verdict.
-func retryableStatus(code int) bool {
-	return code == http.StatusTooManyRequests || code >= 500
-}
-
-// submitBackoff returns the full-jitter sleep before attempt k (2-based):
-// uniform over [0, min(submitBackoffMax, base·2^(k−2))].
-func submitBackoff(attempt int, rng *rand.Rand) time.Duration {
-	max := submitBackoffBase << (attempt - 2)
-	if max > submitBackoffMax {
-		max = submitBackoffMax
-	}
-	return time.Duration(rng.Int63n(int64(max) + 1))
-}
 
 // submitJob POSTs the grid and returns the assigned job id, retrying
 // transient transport failures.
@@ -126,7 +112,7 @@ func submitJob(base, grid string) (string, error) {
 	for attempt := 1; attempt <= submitAttempts; attempt++ {
 		if attempt > 1 {
 			logger.Warn("submit retrying", "err", lastErr, "attempt", attempt, "attempts", submitAttempts)
-			time.Sleep(submitBackoff(attempt, rng))
+			time.Sleep(remotestore.Backoff(rng, attempt-1, submitBackoffBase, submitBackoffMax))
 		}
 		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(reqBody))
 		if err != nil {
@@ -137,7 +123,7 @@ func submitJob(base, grid string) (string, error) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusAccepted {
 			serr := fmt.Errorf("submitting job: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-			if !retryableStatus(resp.StatusCode) {
+			if !remotestore.RetryableStatus(resp.StatusCode) {
 				return "", serr
 			}
 			lastErr = serr

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/remotestore"
 )
 
 // flakySubmitServer answers POST /v1/jobs with the scripted status codes
@@ -88,8 +90,9 @@ func TestSubmitJobRetriesNetworkError(t *testing.T) {
 	}
 }
 
-// TestRetryableStatus pins the retry classification: transient server
-// states retry, authoritative client verdicts do not.
+// TestRetryableStatus pins the retry classification submitJob shares with
+// the remote store: transient server states retry, authoritative client
+// verdicts do not.
 func TestRetryableStatus(t *testing.T) {
 	for code, want := range map[int]bool{
 		http.StatusTooManyRequests:       true,
@@ -100,8 +103,8 @@ func TestRetryableStatus(t *testing.T) {
 		http.StatusNotFound:              false,
 		http.StatusRequestEntityTooLarge: false,
 	} {
-		if got := retryableStatus(code); got != want {
-			t.Errorf("retryableStatus(%d) = %v, want %v", code, got, want)
+		if got := remotestore.RetryableStatus(code); got != want {
+			t.Errorf("RetryableStatus(%d) = %v, want %v", code, got, want)
 		}
 	}
 }

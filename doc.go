@@ -184,10 +184,11 @@
 // parallel by default (-parallel=false forces serial). Nested pools share
 // one process-wide weighted semaphore, so total in-flight work stays
 // bounded by runner.SetMaxInFlight (GOMAXPROCS by default) no matter how
-// grids, runs, and simulations nest. cmd/benchjson snapshots the hot-path
-// benchmarks to BENCH_<date>.json so perf is tracked across PRs, and in
-// CI compares them to the committed baseline, failing on hot-path
-// regressions.
+// grids, runs, and simulations nest. cmd/benchjson runs the hot-path
+// Benchmark functions through `go test -bench` (the same code a developer
+// runs, one definition per benchmark) and snapshots them to
+// BENCH_<date>.json so perf is tracked across PRs; in CI it compares them
+// to the committed baseline, failing on hot-path regressions.
 //
 // # Verifying results
 //

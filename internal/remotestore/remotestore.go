@@ -311,8 +311,9 @@ func (c *Client) call(do func(ctx context.Context) *attemptErr) error {
 		if attempt > 0 {
 			c.mu.Lock()
 			c.st.Retries++
+			d := Backoff(c.rng, attempt, c.opt.BackoffBase, c.opt.BackoffMax)
 			c.mu.Unlock()
-			c.sleep(c.backoff(attempt))
+			c.sleep(d)
 		}
 		c.mu.Lock()
 		c.st.Attempts++
@@ -333,26 +334,26 @@ func (c *Client) call(do func(ctx context.Context) *attemptErr) error {
 	return last
 }
 
-// backoff draws attempt k's full-jitter wait: uniform in
-// [0, min(BackoffMax, BackoffBase·2^(k-1))].
-func (c *Client) backoff(attempt int) time.Duration {
-	ceil := c.opt.BackoffBase << (attempt - 1)
-	if ceil > c.opt.BackoffMax || ceil <= 0 {
-		ceil = c.opt.BackoffMax
+// Backoff draws the full-jitter wait before retry k (1-based): uniform in
+// [0, min(max, base·2^(k-1))] — up to base before the first retry,
+// doubling, capped at max. It is the retry policy of every HTTP client in
+// the repository (this package's Client and `topobench submit`).
+func Backoff(rng *rand.Rand, retry int, base, max time.Duration) time.Duration {
+	ceil := base << (retry - 1)
+	if ceil > max || ceil <= 0 {
+		ceil = max
 	}
-	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(ceil) + 1))
-	c.mu.Unlock()
-	return d
+	return time.Duration(rng.Int63n(int64(ceil) + 1))
 }
 
 func (c *Client) url(addr string) string {
 	return strings.TrimSuffix(c.opt.BaseURL, "/") + "/v1/result/" + addr
 }
 
-// classify buckets an HTTP status: retryable server-side trouble vs a
-// terminal client-side answer.
-func retryableStatus(code int) bool {
+// RetryableStatus reports whether an HTTP status is transient server-side
+// trouble (429 backpressure, 5xx) worth a retry, as opposed to an
+// authoritative answer no retry can change.
+func RetryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code >= 500
 }
 
@@ -416,7 +417,7 @@ func (c *Client) LoadCtx(ctx context.Context, key string) ([]float64, bool) {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
 			return &attemptErr{
 				err:       fmt.Errorf("remotestore: GET %s: %s", addr, resp.Status),
-				retryable: retryableStatus(resp.StatusCode),
+				retryable: RetryableStatus(resp.StatusCode),
 			}
 		}
 	})
@@ -467,7 +468,7 @@ func (c *Client) SaveLinked(key string, vals []float64, parentKey string) error 
 		}
 		return &attemptErr{
 			err:       fmt.Errorf("remotestore: PUT %s: %s", addr, resp.Status),
-			retryable: retryableStatus(resp.StatusCode),
+			retryable: RetryableStatus(resp.StatusCode),
 		}
 	})
 	if err != nil {

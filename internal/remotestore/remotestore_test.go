@@ -1,6 +1,7 @@
 package remotestore
 
 import (
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -347,11 +348,11 @@ func TestRecentErrorsWindow(t *testing.T) {
 // TestBackoffIsBoundedAndJittered: the drawn waits stay within the
 // exponential ceiling and are not all identical (full jitter).
 func TestBackoffIsBoundedAndJittered(t *testing.T) {
-	c := New(Options{BaseURL: "http://unused", BackoffBase: 50 * time.Millisecond, BackoffMax: time.Second})
+	rng := rand.New(rand.NewSource(1))
 	distinct := map[time.Duration]bool{}
 	for i := 0; i < 64; i++ {
 		for attempt := 1; attempt <= 6; attempt++ {
-			d := c.backoff(attempt)
+			d := Backoff(rng, attempt, 50*time.Millisecond, time.Second)
 			ceil := 50 * time.Millisecond << (attempt - 1)
 			if ceil > time.Second || ceil <= 0 {
 				ceil = time.Second

@@ -58,6 +58,9 @@ type job struct {
 	replay bool
 	// lastPersist throttles progress persistence (unix nanos).
 	lastPersist int64
+	// discarded marks a job whose record a DELETE removed; no later write
+	// may bring it back.
+	discarded bool
 }
 
 // newJobID draws a fresh 128-bit hex job id.
@@ -84,6 +87,16 @@ func (s *Server) jobCount() int {
 func (s *Server) persistJob(rec store.JobRecord) {
 	if s.cfg.Store != nil {
 		s.cfg.Store.SaveJob(rec)
+	}
+}
+
+// persistLocked persists j's record; the caller holds j.mu. Writing under
+// the lock orders record writes with the state changes they record: a
+// stale progress write cannot land after the done record, and a DELETE
+// that saw the job terminal finds its final record already written.
+func (s *Server) persistLocked(j *job) {
+	if !j.discarded {
+		s.persistJob(j.rec)
 	}
 }
 
@@ -211,11 +224,11 @@ func (s *Server) runJob(j *job) {
 func (s *Server) jobProgress(j *job, done, total int) {
 	now := time.Now().UnixNano()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.rec.State == store.JobQueued {
 		j.rec.State = store.JobRunning
 	}
 	if j.rec.State != store.JobRunning {
-		j.mu.Unlock()
 		return
 	}
 	if uint32(done) > j.rec.Done {
@@ -225,14 +238,9 @@ func (s *Server) jobProgress(j *job, done, total int) {
 		j.rec.Total = uint32(total)
 	}
 	j.rec.Updated = now
-	persist := done == 0 || done == total || now-j.lastPersist > int64(250*time.Millisecond)
-	if persist {
+	if done == 0 || done == total || now-j.lastPersist > int64(250*time.Millisecond) {
 		j.lastPersist = now
-	}
-	rec := j.rec
-	j.mu.Unlock()
-	if persist {
-		s.persistJob(rec)
+		s.persistLocked(j)
 	}
 }
 
@@ -245,6 +253,7 @@ func (s *Server) jobProgress(j *job, done, total int) {
 func (s *Server) finishJob(j *job, status int, body []byte) {
 	now := time.Now().UnixNano()
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.replay {
 		j.replay = false
 		if status == http.StatusOK {
@@ -263,9 +272,7 @@ func (s *Server) finishJob(j *job, status int, body []byte) {
 		}
 		// A failed replay (canceled, timeout) leaves the record done and
 		// the bytes absent; the next poll retries.
-		rec := j.rec
-		j.mu.Unlock()
-		s.persistJob(rec)
+		s.persistLocked(j)
 		return
 	}
 	j.status, j.body = status, body
@@ -288,9 +295,7 @@ func (s *Server) finishJob(j *job, status int, body []byte) {
 		j.rec.Error = errorMessage(body)
 		s.jobsFailed.Add(1)
 	}
-	rec := j.rec
-	j.mu.Unlock()
-	s.persistJob(rec)
+	s.persistLocked(j)
 }
 
 // errorMessage extracts the message from an errorBody payload, falling
@@ -444,7 +449,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 // handleCancelJob cancels a running or queued job through the flight
 // cancellation path (202: cancellation lands at the solver's next phase
 // boundary, or immediately if the job still waits for a slot) and
-// discards a terminal job's record entirely (204).
+// discards a terminal job's record entirely (204). The discard runs under
+// j.mu (lock order: j.mu, then jobsMu), so no record write of the job can
+// land after it.
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.lookupJob(id)
@@ -456,14 +463,17 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Lock()
 	terminal := j.rec.State.Terminal()
-	j.mu.Unlock()
 	if terminal {
-		s.jobsMu.Lock()
-		delete(s.jobTab, id)
-		s.jobsMu.Unlock()
+		j.discarded = true
 		if s.cfg.Store != nil {
 			s.cfg.Store.DeleteJob(id)
 		}
+		s.jobsMu.Lock()
+		delete(s.jobTab, id)
+		s.jobsMu.Unlock()
+	}
+	j.mu.Unlock()
+	if terminal {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

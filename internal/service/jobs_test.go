@@ -234,6 +234,51 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobDeleteAfterFinishIsFinal: a DELETE that sees a job terminal must
+// also see its terminal record already written, so discarding it is final.
+// If finishJob released the job's lock before persisting, a DELETE landing
+// in between would remove the record and the late write would bring the
+// discarded job back.
+func TestJobDeleteAfterFinishIsFinal(t *testing.T) {
+	srv, _ := newTestServer(t, t.TempDir(), 2)
+	h := srv.Handler()
+	for i := 0; i < 50; i++ {
+		now := time.Now().UnixNano()
+		j := &job{id: newJobID(), grid: testGridQuick}
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		j.rec = store.JobRecord{
+			ID: j.id, Grid: testGridQuick, State: store.JobRunning,
+			Total: 1, Created: now, Updated: now,
+		}
+		if err := srv.cfg.Store.SaveJob(j.rec); err != nil {
+			t.Fatal(err)
+		}
+		srv.jobsMu.Lock()
+		srv.jobTab[j.id] = j
+		srv.jobsMu.Unlock()
+
+		finished := make(chan struct{})
+		go func() {
+			srv.finishJob(j, http.StatusOK, []byte("{}\n"))
+			close(finished)
+		}()
+		for terminal := false; !terminal; {
+			j.mu.Lock()
+			terminal = j.rec.State.Terminal()
+			j.mu.Unlock()
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+j.id, nil))
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("delete terminal job: %d", w.Code)
+		}
+		<-finished
+		if rec, ok := srv.cfg.Store.LoadJob(j.id); ok {
+			t.Fatalf("iteration %d: deleted job's record written back (state %s)", i, rec.State)
+		}
+	}
+}
+
 // TestJobSurvivesRestart: a finished job's record outlives the process —
 // a fresh server over the same store dir answers the SAME job id with
 // byte-identical result bytes (replayed through the warm store). An
